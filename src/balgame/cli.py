@@ -23,7 +23,7 @@ def _emit(args, payload, text_fn):
 
 def cmd_threshold(args):
     rows = []
-    ns = [args.n] if args.n else list(range(2, 13))
+    ns = [args.n] if args.n is not None else list(range(2, 13))
     for n in ns:
         rep = threshold.critical_M(n)
         rows.append(rep.as_dict())

@@ -225,6 +225,8 @@ def lattice_member(u):
 # integers or a 0/1 string (0 -> -1, 1 -> +1).
 
 def bits_to_vector(bits):
+    if set(bits) - {"0", "1"}:
+        raise ValueError("not a 0/1 bit string: %r" % (bits,))
     return tuple(1 if c == "1" else -1 for c in bits)
 
 
@@ -236,9 +238,10 @@ def vector_to_bits(v):
 
 def parse_family(text, label="", strict=True):
     lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
-    if not lines or not lines[0].startswith("dim"):
+    head = lines[0].split() if lines else []
+    if len(head) != 2 or head[0] != "dim" or not head[1].isdigit():
         raise ValueError("family file must start with 'dim n'")
-    n = int(lines[0].split()[1])
+    n = int(head[1])
     members = []
     for ln in lines[1:]:
         if "," in ln:

@@ -1,11 +1,12 @@
 """Game-side machinery for the balancing game.
 
-The central object is the greatest fixed point of the deletion operator
-on a finite window: repeatedly remove lattice points z for which some
-family member v has both z+v and z-v already gone (out-of-window counts
-as gone).  What survives is the unique maximal V-closed subset of the
-window; the origin survives iff Chooser can win inside the window.
-Deletion rounds give Pusher a rank-decreasing strategy.
+The central object is the greatest fixed point of the deletion operator:
+repeatedly remove points z for which some family member v has both z+v
+and z-v already gone.  What survives is the unique maximal V-closed
+subset.  One bitset kernel computes it for every cell of a finite
+window, where out-of-window counts as gone: the origin survives iff
+Chooser can win inside the window, and deletion rounds give Pusher a
+rank-decreasing strategy.
 """
 
 import random as _random
@@ -103,29 +104,39 @@ def is_vclosed(t, f):
     return True, None
 
 
-def maximal_vclosed_subset(window, f, volume_limit=WINDOW_VOLUME_LIMIT):
-    """Greatest fixed point of the deletion operator on the window.
+def _bits(x):
+    """Indices of the set bits of x, ascending, in one scan of its digits."""
+    digits = bin(x)[:1:-1]
+    i = digits.find("1")
+    while i >= 0:
+        yield i
+        i = digits.find("1", i + 1)
 
-    Points are flattened to indices of a padded box so that z +- v is a
-    constant index offset; padding cells are permanently dead.  Rounds
-    are computed synchronously (all deletions of a round are judged
-    against the set at the start of the round), so the rank table does
-    not depend on iteration order.
+
+def maximal_vclosed_subset(window, f, volume_limit=WINDOW_VOLUME_LIMIT):
+    """Greatest fixed point of the deletion operator on the window, with
+    its rank table: removed cell -> (round, first member in family order
+    that hits it).
+
+    Cells are the bits of one integer over the window padded by the
+    longest member step, so z +- v is a constant bit offset and padding
+    is always dead.  A round removes every live z with some v whose z+v
+    and z-v are both dead at the start of the round.
     """
     n = window.dim
+    if n != f.dim:
+        raise ValueError("window has dimension %d but the family has "
+                         "dimension %d" % (n, f.dim))
     if window.volume() > volume_limit:
         raise SizeLimitError("window volume %d exceeds limit %d"
                              % (window.volume(), volume_limit))
-    margin = max(abs(a) for v in f for a in v) if len(f) else 1
+    margin = max((abs(a) for v in f for a in v), default=0)
     plo = tuple(a - margin for a in window.lo)
-    sizes = tuple(b + margin - a + 1 for a, b in zip(plo, window.hi))
+    sides = [b - a + 1 for a, b in zip(window.lo, window.hi)]
     strides = [1] * n
     for i in range(n - 2, -1, -1):
-        strides[i] = strides[i + 1] * sizes[i + 1]
-    total = strides[0] * sizes[0]
-
-    def encode(z):
-        return sum((c - o) * s for c, o, s in zip(z, plo, strides))
+        strides[i] = strides[i + 1] * (sides[i + 1] + 2 * margin)
+    full = (1 << strides[0] * (sides[0] + 2 * margin)) - 1
 
     def decode(idx):
         coords = []
@@ -134,52 +145,34 @@ def maximal_vclosed_subset(window, f, volume_limit=WINDOW_VOLUME_LIMIT):
             coords.append(c + o)
         return tuple(coords)
 
-    alive = bytearray(total)
-    window_idx = []
-    # enumerate window points without materializing tuples twice
-    def fill(prefix, depth, base):
-        if depth == n:
-            alive[base] = 1
-            window_idx.append(base)
-            return
-        lo, hi = window.lo[depth], window.hi[depth]
-        for c in range(lo, hi + 1):
-            fill(prefix, depth + 1, base + (c - plo[depth]) * strides[depth])
-    fill((), 0, 0)
+    alive = 1  # the window, one coordinate at a time, innermost first
+    for s, side in zip(reversed(strides), reversed(sides)):
+        row, alive = alive << margin * s, 0
+        for c in range(side):
+            alive |= row << c * s
 
-    offsets = [sum(a * s for a, s in zip(v, strides)) for v in f]
-
+    offsets = [abs(sum(a * s for a, s in zip(v, strides))) for v in f]
     rank = {}
-    frontier = window_idx
     rnd = 0
-    while frontier:
-        rnd += 1
-        deletions = []
-        for z in frontier:
-            if not alive[z] or z in rank:
-                continue
-            for vi, off in enumerate(offsets):
-                if not alive[z + off] and not alive[z - off]:
-                    deletions.append((z, vi))
-                    break
-        if not deletions:
+    while True:
+        dead = full ^ alive
+        removed = []
+        for v, off in zip(f.members, offsets):
+            # claimed cells leave alive: each goes to the first member
+            sel = alive & (dead >> off) & (dead << off)
+            if sel:
+                alive ^= sel
+                removed.append((v, sel))
+        if not removed:
             break
-        next_frontier = set()
-        for z, vi in deletions:
-            rank[z] = (rnd, vi)
-        for z, _vi in deletions:
-            alive[z] = 0
-        for z, _vi in deletions:
-            for off in offsets:
-                for nb in (z + off, z - off):
-                    if 0 <= nb < total and alive[nb]:
-                        next_frontier.add(nb)
-        frontier = sorted(next_frontier)
+        rnd += 1
+        for v, sel in removed:
+            for idx in _bits(sel):
+                rank[decode(idx)] = (rnd, v)
 
-    safe_pts = frozenset(decode(z) for z in window_idx if alive[z])
-    rank_pts = {decode(z): (r, f.members[vi]) for z, (r, vi) in rank.items()}
-    safe = PointSet(n, safe_pts, meta={"window": (window.lo, window.hi)})
-    return SafeSetCertificate(window, f, safe, rank_pts)
+    safe = PointSet(n, frozenset(map(decode, _bits(alive))),
+                    meta={"window": (window.lo, window.hi)})
+    return SafeSetCertificate(window, f, safe, rank)
 
 
 def default_margin(f):

@@ -109,8 +109,10 @@ def cross_validate(n, margin=2, depth=None):
     brute-force game verdict flips exactly there."""
     from . import game
 
-    if n > 5:
-        raise ValueError("cross_validate budget only covers n <= 5")
+    if n > 4:
+        raise ValueError("cross_validate covers n <= 4: at n=%d the window "
+                         "has %d cells, each kept in a rank table"
+                         % (n, (2 ** n + 3) ** n))
     m_crit = critical_M(n).m_crit
     f = canonical_family(n)
     rows = []

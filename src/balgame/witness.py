@@ -244,24 +244,12 @@ def translate_witness(t, f, x):
                               tuple(trans), True)
 
 
-def _maximal_vclosed_in(points, f):
-    """Greatest V-closed subset of an explicit finite point set."""
-    alive = set(points)
-    changed = True
-    while changed:
-        changed = False
-        for z in sorted(alive):
-            if any(vadd(z, v) not in alive and vsub(z, v) not in alive
-                   for v in f):
-                alive.discard(z)
-                changed = True
-    return alive
-
-
 def random_vclosed(f, seed, budget=2000):
-    """Seeded test instance: a union of random translates of P(V),
-    repaired to its maximal V-closed subset (which still contains every
-    full translate)."""
+    """Seeded test instance: a union of random translates of P(V).
+
+    P(V) is V-closed (for z = sum S, z - v is in P(V) when v is in S and
+    z + v is when it is not), and so is any union of its translates; the
+    closure is still checked before the set is returned."""
     rng = _random.Random(seed)
     base = sorted(enumerate_psum(f).points)
     k = rng.randint(1, 3)
@@ -271,9 +259,8 @@ def random_vclosed(f, seed, budget=2000):
         pts.update(vadd(off, p) for p in base)
     if len(pts) > budget:
         raise ValueError("instance larger than budget")
-    repaired = _maximal_vclosed_in(pts, f)
-    ok, viol = is_vclosed(repaired, f)
+    ok, viol = is_vclosed(pts, f)
     if not ok:
         raise AssertionError("generator produced a non-V-closed set: %s"
                              % (viol,))
-    return PointSet(f.dim, frozenset(repaired), meta={"seed": seed})
+    return PointSet(f.dim, frozenset(pts), meta={"seed": seed})

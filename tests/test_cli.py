@@ -1,5 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
+import pytest
+
+import balgame
 from balgame.cli import main
 from balgame.core import (canonical_family, enumerate_psum, format_family,
                           format_pointset)
@@ -25,6 +32,13 @@ def test_threshold_single_json(capsys):
     doc = json.loads(out)
     assert doc[0]["M_crit"] == 47
     assert doc[0]["class"] == "pow2"
+
+
+def test_threshold_rejects_n_zero(capsys):
+    code, out, err = run(capsys, "threshold", "--n", "0")
+    assert code == 2
+    assert out == ""
+    assert err.count("\n") == 1 and err.startswith("error:")
 
 
 def test_threshold_verify(capsys):
@@ -90,6 +104,44 @@ def test_maximal(capsys, tmp_path):
                        "--window=-6:0;-6:0", "--json")
     assert code == 0
     assert not json.loads(out)["origin_safe"]
+
+
+@pytest.mark.parametrize("family,window", [
+    (format_family(canonical_family(2)), "0:1;0:1;0:1"),
+    ("dim\n1,1\n", "0:1;0:1"),
+    ("dim 3\n1x1\n", "0:1;0:1;0:1"),
+])
+def test_maximal_bad_input_is_usage_error(capsys, tmp_path, family, window):
+    fam_path = tmp_path / "fam.txt"
+    fam_path.write_text(family)
+    code, out, err = run(capsys, "maximal", "--family", str(fam_path),
+                         "--window", window)
+    assert code == 2
+    assert out == ""
+    assert err.count("\n") == 1 and err.startswith("error:")
+
+
+def test_output_independent_of_hash_seed(tmp_path):
+    f = canonical_family(3)
+    fam_path = tmp_path / "fam.txt"
+    fam_path.write_text(format_family(f))
+    set_path = tmp_path / "set.txt"
+    set_path.write_text(format_pointset(enumerate_psum(f)))
+    src = str(Path(balgame.__file__).resolve().parent.parent)
+    commands = [
+        ["maximal", "--family", str(fam_path), "--window=-9:1;-9:1;-9:1",
+         "--dump"],
+        ["witness", "--family", str(fam_path), "--set", str(set_path)],
+    ]
+    for argv in commands:
+        outs = set()
+        for seed in ("1", "2"):
+            env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=src)
+            res = subprocess.run([sys.executable, "-m", "balgame.cli"]
+                                 + argv, env=env, capture_output=True,
+                                 check=True, timeout=120)
+            outs.add(res.stdout)
+        assert len(outs) == 1, argv
 
 
 def test_simulate_survives(capsys):

@@ -152,6 +152,19 @@ def test_family_file_roundtrip():
         parse_family("1,2\n")
 
 
+@pytest.mark.parametrize("text", ["dim\n1,1\n", "dim3\n1,1,1\n",
+                                  "dimension 2\n1,1\n", "dim x\n1,1\n",
+                                  "dim 3\n1x1\n", "dim 2\n1 1\n"])
+def test_family_file_rejects_malformed(text):
+    with pytest.raises(ValueError):
+        parse_family(text)
+
+
+def test_bits_to_vector_rejects_other_characters():
+    with pytest.raises(ValueError):
+        bits_to_vector("1x1")
+
+
 def test_pointset_roundtrip():
     ps = PointSet(2, frozenset({(0, 0), (1, -1)}))
     assert parse_pointset(format_pointset(ps)).points == ps.points

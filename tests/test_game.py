@@ -1,3 +1,6 @@
+import random
+from itertools import product
+
 import pytest
 
 from balgame import game
@@ -208,3 +211,51 @@ def test_volume_limit():
     with pytest.raises(game.SizeLimitError):
         maximal_vclosed_subset(Window((-10, -10), (10, 10)), f,
                                volume_limit=100)
+
+
+def test_window_family_dimension_mismatch():
+    with pytest.raises(ValueError, match="dimension"):
+        maximal_vclosed_subset(Window((0, 0, 0), (1, 1, 1)),
+                               canonical_family(2))
+
+
+def reference_rounds(window, f):
+    """Naive synchronous fixed point on tuples: each round removes every
+    live cell z that has a member v with z+v and z-v both dead at the
+    start of the round, recording the first such v in family order."""
+    alive = set(product(*(range(a, b + 1)
+                          for a, b in zip(window.lo, window.hi))))
+    rank = {}
+    rnd = 0
+    while True:
+        rnd += 1
+        gone = {}
+        for z in alive:
+            for v in f.members:
+                if vadd(z, v) not in alive and vsub(z, v) not in alive:
+                    gone[z] = (rnd, v)
+                    break
+        if not gone:
+            return alive, rank
+        alive -= gone.keys()
+        rank.update(gone)
+
+
+def test_kernel_matches_reference_fixed_point():
+    rng = random.Random(2024)
+    side = {1: 15, 2: 8, 3: 5, 4: 3}
+    for _ in range(200):
+        n = rng.randint(1, 4)
+        k = rng.randint(1, 4)
+        members = []
+        while len(members) < k:
+            v = tuple(rng.randint(-2, 2) for _ in range(n))
+            if any(v) and v not in members:
+                members.append(v)
+        f = VectorFamily(n, tuple(members), strict=False)
+        lo = tuple(rng.randint(-3, 1) for _ in range(n))
+        hi = tuple(a + rng.randint(0, side[n]) for a in lo)
+        cert = maximal_vclosed_subset(Window(lo, hi), f)
+        safe, rank = reference_rounds(Window(lo, hi), f)
+        assert cert.safe.points == safe
+        assert cert.rank == rank

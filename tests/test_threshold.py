@@ -80,3 +80,8 @@ def test_cross_validate_small():
         res = cross_validate(n, margin=2)
         assert res["M_crit"] == mc
         assert res["flip_exact"]
+
+
+def test_cross_validate_rejects_n5_at_once():
+    with pytest.raises(ValueError, match="n <= 4"):
+        cross_validate(5)

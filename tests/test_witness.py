@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -139,3 +140,45 @@ def test_witness_sweep_seeded():
                 continue
             cert = translate_witness(t, f, x)
             assert cert.verified
+
+
+def reference_maximal_vclosed_in(points, f):
+    """Greatest V-closed subset of an explicit finite point set, by
+    sequential sweeps in sorted order until nothing changes."""
+    alive = set(points)
+    changed = True
+    while changed:
+        changed = False
+        for z in sorted(alive):
+            if any(vadd(z, v) not in alive and vsub(z, v) not in alive
+                   for v in f):
+                alive.discard(z)
+                changed = True
+    return alive
+
+
+def translate_union(f, seed):
+    """The union of translates of P(V) that random_vclosed(f, seed)
+    starts from."""
+    rng = random.Random(seed)
+    base = sorted(enumerate_psum(f).points)
+    pts = set()
+    for _ in range(rng.randint(1, 3)):
+        off = tuple(rng.randint(-4, 4) for _ in range(f.dim))
+        pts.update(vadd(off, p) for p in base)
+    return pts
+
+
+FAMILIES = [canonical_family(2), canonical_family(3),
+            VectorFamily(2, ((1, 0), (0, 1), (1, 2)), label="skew"),
+            # sparse: 8 points spread over a box of about 10^9 cells
+            VectorFamily(3, ((500, 0, 0), (0, 500, 0), (0, 0, 500)),
+                         label="sparse")]
+
+
+def test_random_vclosed_matches_reference():
+    for f in FAMILIES:
+        for seed in range(20):
+            want = reference_maximal_vclosed_in(translate_union(f, seed), f)
+            assert random_vclosed(f, seed).points == want
+
