@@ -8,6 +8,7 @@ PointSet is a finite set of lattice points of a common dimension.
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from itertools import product
 
 MAX_DIM = 24  # widths go up to 2^n; reject anything wider than desk scale
@@ -101,6 +102,14 @@ class VectorFamily:
 
     def __iter__(self):
         return iter(self.members)
+
+    def __contains__(self, v):
+        return v in self._member_set
+
+    @cached_property
+    def _member_set(self):
+        # built on first use; the frozen dataclass only blocks setattr
+        return frozenset(self.members)
 
     def index(self, v):
         return self.members.index(v)

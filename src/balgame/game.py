@@ -235,7 +235,7 @@ class ChooserEngine:
         self.t = tuple(Fraction(a) for a in t)
         self.subset = set(s0)
         for v in self.subset:
-            if v not in family.members:
+            if v not in family:
                 raise ValueError("subset member %s not in family" % (v,))
 
     def position(self):
@@ -245,7 +245,7 @@ class ChooserEngine:
         return tuple(z)
 
     def respond(self, v):
-        if v not in self.family.members:
+        if v not in self.family:
             raise ValueError("offered vector %s not in family" % (v,))
         if v in self.subset:
             self.subset.discard(v)

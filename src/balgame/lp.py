@@ -1,6 +1,10 @@
-"""Small exact LP solver over Fractions (two-phase simplex, Bland's
+"""Small exact LP solver over Fractions (simplex tableau, Bland's
 rule).  Only meant for the dense, desk-scale programs the witness
-checker needs; no floating point anywhere."""
+checker needs; no floating point anywhere.
+
+`simplex_max` solves from the feasible origin of `a_ub z <= b_ub` with
+`b_ub >= 0`; `feasible_combination` is a phase one on its equality
+rows."""
 
 from fractions import Fraction
 
@@ -19,9 +23,11 @@ def _pivot(tab, basis, r, c):
     basis[r] = c
 
 
-def _run(tab, basis, ncols):
-    """Minimize, objective in the last row; Bland's rule throughout."""
+def _run(tab, basis):
+    """Minimize, objective in the last row, rhs in the last column;
+    Bland's rule throughout."""
     m = len(tab) - 1
+    ncols = len(tab[-1]) - 1
     while True:
         obj = tab[-1]
         enter = next((j for j in range(ncols) if obj[j] < 0), None)
@@ -40,76 +46,22 @@ def _run(tab, basis, ncols):
 
 
 def simplex_max(c, a_ub, b_ub):
-    """Maximize c.z subject to a_ub z <= b_ub, z >= 0.
+    """Maximize c.z subject to a_ub z <= b_ub, z >= 0, where b_ub >= 0
+    so that z = 0 is feasible and the slacks are the first basis.
 
-    Returns (status, value, z).
-    """
+    Returns (status, value, z); status is OPTIMAL or UNBOUNDED."""
+    if any(b < 0 for b in b_ub):
+        raise ValueError("simplex_max needs b_ub >= 0")
     m = len(a_ub)
     n = len(c)
-    rows = [[Fraction(x) for x in row] for row in a_ub]
-    rhs = [Fraction(x) for x in b_ub]
-    # normalize to nonnegative rhs; flipped rows get surplus + artificial
-    kinds = []
-    for i in range(m):
-        if rhs[i] < 0:
-            rows[i] = [-x for x in rows[i]]
-            rhs[i] = -rhs[i]
-            kinds.append("surplus")
-        else:
-            kinds.append("slack")
-    n_art = sum(1 for k in kinds if k == "surplus")
-    ncols = n + m + n_art
     tab = []
-    basis = []
-    art_cols = []
-    ai = 0
     for i in range(m):
-        row = [Fraction(0)] * ncols + [rhs[i]]
-        for j in range(n):
-            row[j] = rows[i][j]
-        if kinds[i] == "slack":
-            row[n + i] = Fraction(1)
-            basis.append(n + i)
-        else:
-            row[n + i] = Fraction(-1)
-            col = n + m + ai
-            row[col] = Fraction(1)
-            art_cols.append(col)
-            basis.append(col)
-            ai += 1
-        tab.append(row)
-    if art_cols:
-        obj = [Fraction(0)] * (ncols + 1)
-        for col in art_cols:
-            obj[col] = Fraction(1)
-        tab.append(obj)
-        for i in range(m):
-            if basis[i] in art_cols:
-                tab[-1] = [x - y for x, y in zip(tab[-1], tab[i])]
-        _run(tab, basis, ncols)
-        if tab[-1][-1] != 0:
-            return INFEASIBLE, None, None
-        tab.pop()
-        # pivot any artificial still in the basis out (or its row is redundant)
-        for i in range(m):
-            if basis[i] in art_cols:
-                piv = next((j for j in range(n + m) if tab[i][j] != 0), None)
-                if piv is not None:
-                    _pivot(tab, basis, i, piv)
-        # forbid artificials from re-entering
-        for row in tab:
-            for col in art_cols:
-                row[col] = Fraction(0)
-    obj = [Fraction(0)] * (ncols + 1)
-    for j in range(n):
-        obj[j] = -Fraction(c[j])
-    tab.append(obj)
-    for i in range(m):
-        if tab[-1][basis[i]] != 0:
-            fac = tab[-1][basis[i]]
-            tab[-1] = [x - fac * y for x, y in zip(tab[-1], tab[i])]
-    status = _run(tab, basis, n + m)
-    if status == UNBOUNDED:
+        row = [Fraction(x) for x in a_ub[i]] + [Fraction(0)] * m
+        row[n + i] = Fraction(1)
+        tab.append(row + [Fraction(b_ub[i])])
+    basis = list(range(n, n + m))
+    tab.append([-Fraction(x) for x in c] + [Fraction(0)] * (m + 1))
+    if _run(tab, basis) == UNBOUNDED:
         return UNBOUNDED, None, None
     z = [Fraction(0)] * n
     for i in range(m):
@@ -121,26 +73,27 @@ def simplex_max(c, a_ub, b_ub):
 
 def feasible_combination(points, x):
     """Is x a convex combination of the given points?  Returns the
-    coefficient list or None.  Exact throughout."""
+    coefficient list or None.  Exact throughout.
+
+    Phase one on the equality rows sum lam = 1 and sum lam*p = x, each
+    signed to a nonnegative rhs and started on its own artificial.  An
+    artificial that leaves the basis never re-enters, so its column is
+    not stored; row i's artificial is labelled m + i in the basis."""
     if not points:
         return None
-    n = len(x)
     m = len(points)
-    # equality constraints as paired inequalities: sum lam = 1, sum lam*y = x
-    a_ub = []
-    b_ub = []
-    ones = [Fraction(1)] * m
-    a_ub.append(ones)
-    b_ub.append(Fraction(1))
-    a_ub.append([-v for v in ones])
-    b_ub.append(Fraction(-1))
-    for i in range(n):
-        row = [Fraction(p[i]) for p in points]
-        a_ub.append(row)
-        b_ub.append(Fraction(x[i]))
-        a_ub.append([-v for v in row])
-        b_ub.append(-Fraction(x[i]))
-    status, _val, lam = simplex_max([Fraction(0)] * m, a_ub, b_ub)
-    if status != OPTIMAL:
+    rows = [[Fraction(1)] * m + [Fraction(1)]]
+    for i in range(len(x)):
+        rows.append([Fraction(p[i]) for p in points] + [Fraction(x[i])])
+    rows = [[-a for a in row] if row[-1] < 0 else row for row in rows]
+    basis = [m + i for i in range(len(rows))]
+    # minimize the sum of the artificials, priced out over the rows
+    tab = rows + [[-sum(col) for col in zip(*rows)]]
+    _run(tab, basis)
+    if tab[-1][-1] != 0:
         return None
+    lam = [Fraction(0)] * m
+    for i, j in enumerate(basis):
+        if j < m:
+            lam[j] = tab[i][-1]
     return lam

@@ -2,9 +2,14 @@
 
 For an exposed point x of the hull of a finite V-closed set T, the
 witness is the translate t + P(V) with t = x - p, where p is the
-zonotope vertex in the direction of x's supporting normal.  Everything
-is checked by exact rational feasibility; in the plane a cross-product
-hull test replaces the LP.
+zonotope vertex in the direction of x's supporting normal.  Every hull
+question (membership, extremality, the normal) is one exact LP in
+`lp`, in every dimension.
+
+The normal needs no perturbation: every extreme point of a finite set
+is exposed, so the best margin mu* is positive, and since T is
+V-closed one of x +- v lies in T for each nonzero member v, whose
+margin row gives |a.v| >= mu* > 0.
 """
 
 import random as _random
@@ -12,7 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import lp
-from .core import (PointSet, enumerate_psum, vadd, vdot, vsub,
+from .core import (PointSet, enumerate_psum, vadd, vsub,
                    zonotope_vertex, DegenerateNormalError)
 from .game import is_vclosed
 
@@ -24,7 +29,8 @@ class NotVClosedError(ValueError):
 
 
 class NotApplicableError(ValueError):
-    """The point is extreme but carries no usable strict normal."""
+    """The family has a member orthogonal to the exposed normal, which
+    only a zero member (a family built with strict=False) can be."""
 
 
 class TheoremContradictionError(AssertionError):
@@ -32,59 +38,10 @@ class TheoremContradictionError(AssertionError):
     precondition, never a legitimate outcome."""
 
 
-# --- planar fast path ---------------------------------------------------
-
-def _cross(o, a, b):
-    return ((a[0] - o[0]) * (b[1] - o[1])
-            - (a[1] - o[1]) * (b[0] - o[0]))
-
-
-def _hull2d(points):
-    """Monotone-chain hull; exact integer/rational cross products."""
-    pts = sorted(set(points))
-    if len(pts) <= 2:
-        return pts
-    lower = []
-    for p in pts:
-        while len(lower) >= 2 and _cross(lower[-2], lower[-1], p) <= 0:
-            lower.pop()
-        lower.append(p)
-    upper = []
-    for p in reversed(pts):
-        while len(upper) >= 2 and _cross(upper[-2], upper[-1], p) <= 0:
-            upper.pop()
-        upper.append(p)
-    return lower[:-1] + upper[:-1]
-
-
-def _in_hull2d(hull, q):
-    if not hull:
-        return False
-    if len(hull) == 1:
-        return tuple(q) == tuple(hull[0])
-    if len(hull) == 2:
-        a, b = hull
-        if _cross(a, b, q) != 0:
-            return False
-        lo = min(a, b)
-        hi = max(a, b)
-        return lo <= tuple(q) <= hi
-    k = len(hull)
-    for i in range(k):
-        if _cross(hull[i], hull[(i + 1) % k], q) < 0:
-            return False
-    return True
-
-
 # --- exact hull membership / extremality --------------------------------
 
 def in_convex_hull(points, q):
-    pts = list(points)
-    if len(q) == 2 and all(
-            isinstance(a, int) or Fraction(a).denominator == 1
-            for p in pts for a in p):
-        return _in_hull2d(_hull2d(pts), q)
-    return lp.feasible_combination(pts, q) is not None
+    return lp.feasible_combination(list(points), q) is not None
 
 
 _EXTREME_CACHE = {}
@@ -99,22 +56,16 @@ def extreme_points(t):
     if key in _EXTREME_CACHE:
         return list(_EXTREME_CACHE[key])
     pts = sorted(t.points)
-    if t.dim == 2:
-        out = sorted(_hull2d(pts))
-    else:
-        out = []
-        for x in pts:
-            others = [p for p in pts if p != x]
-            if not others or lp.feasible_combination(others, x) is None:
-                out.append(x)
+    out = [x for x in pts
+           if lp.feasible_combination([p for p in pts if p != x], x) is None]
     _EXTREME_CACHE[key] = tuple(out)
     return out
 
 
 def exposed_normal(t, x):
     """A rational direction a with a.x > a.y for every other y of T,
-    maximizing the minimum margin under |a_i| <= 1.  None when the best
-    margin is not strictly positive."""
+    maximizing the minimum margin under |a_i| <= 1.  x must be an
+    extreme point, so that margin is positive."""
     pts = sorted(t.points)
     if x not in t.points:
         raise ValueError("x must belong to T")
@@ -146,42 +97,8 @@ def exposed_normal(t, x):
     c = [Fraction(0)] * nv
     c[2 * n] = Fraction(1)
     c[2 * n + 1] = Fraction(-1)
-    status, value, z = lp.simplex_max(c, a_ub, b_ub)
-    if status != lp.OPTIMAL or value <= 0:
-        return None
+    _status, _value, z = lp.simplex_max(c, a_ub, b_ub)
     return tuple(z[i] - z[n + i] for i in range(n))
-
-
-def _strict_normal(a, x, t, f):
-    """Perturb a supporting normal so every a.v is nonzero while keeping
-    every margin a.(x-y) strictly positive.  Exact rational bounds."""
-    others = [y for y in t.points if y != x]
-    if all(vdot(a, v) != 0 for v in f):
-        return a
-    n = len(a)
-    margin = min(vdot(a, vsub(x, y)) for y in others) if others else Fraction(1)
-    for denom in (3, 5, 7, 11, 13, 17, 19, 23):
-        beta = Fraction(1, denom)
-        d = tuple(beta ** i for i in range(n))
-        if any(vdot(d, v) == 0 for v in f if vdot(a, v) == 0):
-            continue
-        # scale so margins and existing nonzero dot products survive
-        bounds = []
-        if others:
-            worst = max(sum(abs(Fraction(c)) for c in vsub(x, y))
-                        for y in others)
-            bounds.append(margin / (2 * worst))
-        for v in f:
-            av = vdot(a, v)
-            dv = vdot(d, v)
-            if av != 0 and dv != 0:
-                bounds.append(abs(av) / (2 * abs(dv)))
-        delta = min(bounds) if bounds else Fraction(1)
-        cand = tuple(ai + delta * di for ai, di in zip(a, d))
-        if all(vdot(cand, v) != 0 for v in f) and \
-                all(vdot(cand, vsub(x, y)) > 0 for y in others):
-            return cand
-    raise NotApplicableError("could not find a strict admissible normal")
 
 
 @dataclass
@@ -225,10 +142,6 @@ def translate_witness(t, f, x):
     if not ok:
         raise NotVClosedError("T is not V-closed: violation %s" % (viol,))
     a = exposed_normal(t, x)
-    if a is None:
-        raise NotApplicableError(
-            "x=%s is extreme but not exposed with a strict normal" % (x,))
-    a = _strict_normal(a, x, t, f)
     try:
         p = zonotope_vertex(f, a)
     except DegenerateNormalError as exc:

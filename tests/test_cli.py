@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 
 import balgame
+from balgame import fixtures
 from balgame.cli import main
 from balgame.core import (canonical_family, enumerate_psum, format_family,
                           format_pointset)
@@ -61,6 +62,35 @@ def test_signs_middle_verified(capsys):
     assert "# defect: [0, 0, 0, 0, 0, 0]" in out
 
 
+def test_signs_odd_verify(capsys):
+    code, out, _ = run(capsys, "signs", "--odd", "5", "--verify")
+    assert code == 0
+    assert len(out.splitlines()) == 16
+
+
+def test_signs_middle_verify_json(capsys):
+    code, out, _ = run(capsys, "signs", "--middle", "6", "--verify", "--json")
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["verified"]
+    assert "fixture_verified" not in doc
+    assert doc["defect"] == [0] * 6
+
+
+def test_signs_verify_rejects_a_wrong_row(capsys, monkeypatch):
+    real = fixtures.format_sign_table
+
+    def flip_first(rows):
+        return real([(-rows[0][0], rows[0][1])] + rows[1:])
+
+    monkeypatch.setattr(fixtures, "format_sign_table", flip_first)
+    for mode in (["--odd", "5"], ["--middle", "6"]):
+        code, out, err = run(capsys, "signs", *mode, "--verify")
+        assert code == 1
+        assert out == ""
+        assert "FAILED" in err
+
+
 def test_signs_requires_mode(capsys):
     code, _, _ = run(capsys, "signs")
     assert code == 2
@@ -110,6 +140,8 @@ def test_maximal(capsys, tmp_path):
     (format_family(canonical_family(2)), "0:1;0:1;0:1"),
     ("dim\n1,1\n", "0:1;0:1"),
     ("dim 3\n1x1\n", "0:1;0:1;0:1"),
+    # volume 4.0e8 is over the window limit (SizeLimitError)
+    (format_family(canonical_family(2)), "0:20000;0:20000"),
 ])
 def test_maximal_bad_input_is_usage_error(capsys, tmp_path, family, window):
     fam_path = tmp_path / "fam.txt"

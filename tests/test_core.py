@@ -29,6 +29,7 @@ def test_canonical_family_small():
     f3 = canonical_family(3)
     assert len(f3) == 4
     assert all(v[0] == 1 for v in f3)
+    assert (1, -1, 1) in f3 and (-1, 1, 1) not in f3
     assert len(canonical_family(6)) == 32
 
 

@@ -134,6 +134,8 @@ def test_chooser_engine_toggling():
     assert eng.subset == set()
     with pytest.raises(ValueError):
         eng.respond((5, 5))
+    with pytest.raises(ValueError):
+        ChooserEngine(f, (0, 0), [(1, 1), (-1, -1)])
 
 
 def test_chooser_engine_soundness():

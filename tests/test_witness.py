@@ -1,3 +1,5 @@
+import hashlib
+import json
 import random
 from fractions import Fraction
 
@@ -6,9 +8,11 @@ import pytest
 from balgame.core import (PointSet, VectorFamily, canonical_family,
                           enumerate_psum, vadd, vdot, vsub)
 from balgame.game import is_vclosed
-from balgame.witness import (NotVClosedError, exposed_normal,
-                             extreme_points, in_convex_hull, random_vclosed,
-                             translate_witness)
+from balgame.witness import (NotApplicableError, NotVClosedError,
+                             exposed_normal, extreme_points, in_convex_hull,
+                             random_vclosed, translate_witness)
+
+SUB3 = VectorFamily(3, canonical_family(3).members[:3], label="sub3")
 
 
 def test_in_convex_hull_2d():
@@ -131,15 +135,51 @@ def test_random_vclosed_reproducible():
 
 
 def test_witness_sweep_seeded():
-    f = canonical_family(2)
-    for seed in range(5):
-        t = random_vclosed(f, seed)
-        for x in extreme_points(t):
-            a = exposed_normal(t, x)
-            if a is None:
-                continue
-            cert = translate_witness(t, f, x)
-            assert cert.verified
+    # the exposed normal is strict for every member with no perturbation
+    for f, seeds in ((canonical_family(2), range(5)), (SUB3, range(3)),
+                     (canonical_family(3), range(2))):
+        for seed in seeds:
+            t = random_vclosed(f, seed)
+            for x in extreme_points(t):
+                a = exposed_normal(t, x)
+                assert a is not None
+                assert all(vdot(a, v) != 0 for v in f), (f.label, seed, x)
+
+
+def test_translate_witness_zero_member_not_applicable():
+    f = VectorFamily(2, ((1, 1), (1, -1), (0, 0)), label="zero",
+                     strict=False)
+    t = enumerate_psum(f)
+    for x in extreme_points(t):
+        with pytest.raises(NotApplicableError):
+            translate_witness(t, f, x)
+
+
+# sha256 of the sorted-key JSON list of as_dict() over extreme_points(T),
+# T = random_vclosed(family, seed); recorded with the earlier hull code
+# (planar monotone chain, paired-inequality LP, perturbed normals)
+PINNED_CERTIFICATES = [
+    (canonical_family(2), 0,
+     "a68859babca6643705d038402fa24ec8007721655989c4178092ee44df4b845e"),
+    (canonical_family(2), 5,
+     "62660c5ecb341917bde98e0efe2f5f443cdaa51dcd84ca83c8221db5fb1b4204"),
+    (SUB3, 0,
+     "dc5e97d528690a8870de06d18c0cb179254779785cd5a95ffb9fdacfb21f92a5"),
+    (SUB3, 1,
+     "352ea33d1ef0ddb561c634a6a94dfc2c4fde1324bebfab4294d6818b6c204eda"),
+    (canonical_family(3), 1,
+     "c4449e2d01c5a53a7f82f4c2da30d625ed7d750f346b56de677924cc84b278c9"),
+]
+
+
+@pytest.mark.parametrize("f,seed,digest", PINNED_CERTIFICATES,
+                         ids=["%s-%d" % (f.label, seed)
+                              for f, seed, _ in PINNED_CERTIFICATES])
+def test_certificates_pinned(f, seed, digest):
+    t = random_vclosed(f, seed)
+    docs = [translate_witness(t, f, x).as_dict() for x in extreme_points(t)]
+    got = hashlib.sha256(json.dumps(docs, sort_keys=True).encode())
+    assert got.hexdigest() == digest
 
 
 def reference_maximal_vclosed_in(points, f):
