@@ -6,12 +6,16 @@ and z-v already gone.  What survives is the unique maximal V-closed
 subset.  One bitset kernel computes it for every cell of a finite
 window, where out-of-window counts as gone: the origin survives iff
 Chooser can win inside the window, and deletion rounds give Pusher a
-rank-decreasing strategy.
+rank-decreasing strategy.  The kernel turns its bitsets back into points
+one window row (a line of cells along the innermost coordinate) at a
+time.
 """
 
+import heapq
 import random as _random
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import product
 
 from .core import (PointSet, SizeLimitError, vadd, vsub, zero)
 
@@ -104,15 +108,6 @@ def is_vclosed(t, f):
     return True, None
 
 
-def _bits(x):
-    """Indices of the set bits of x, ascending, in one scan of its digits."""
-    digits = bin(x)[:1:-1]
-    i = digits.find("1")
-    while i >= 0:
-        yield i
-        i = digits.find("1", i + 1)
-
-
 def maximal_vclosed_subset(window, f, volume_limit=WINDOW_VOLUME_LIMIT):
     """Greatest fixed point of the deletion operator on the window, with
     its rank table: removed cell -> (round, first member in family order
@@ -122,6 +117,12 @@ def maximal_vclosed_subset(window, f, volume_limit=WINDOW_VOLUME_LIMIT):
     longest member step, so z +- v is a constant bit offset and padding
     is always dead.  A round removes every live z with some v whose z+v
     and z-v are both dead at the start of the round.
+
+    Bitsets are decoded a row at a time: a row's cells share one tuple
+    of outer coordinates, so each cell is that prefix plus a one-tuple
+    for its innermost coordinate.  Ascending bit index is lexicographic
+    cell order, so the rank table is filled by round, then family
+    order, then cell.
     """
     n = window.dim
     if n != f.dim:
@@ -133,17 +134,31 @@ def maximal_vclosed_subset(window, f, volume_limit=WINDOW_VOLUME_LIMIT):
     margin = max((abs(a) for v in f for a in v), default=0)
     plo = tuple(a - margin for a in window.lo)
     sides = [b - a + 1 for a, b in zip(window.lo, window.hi)]
+    padded = [side + 2 * margin for side in sides]
     strides = [1] * n
     for i in range(n - 2, -1, -1):
-        strides[i] = strides[i + 1] * (sides[i + 1] + 2 * margin)
-    full = (1 << strides[0] * (sides[0] + 2 * margin)) - 1
+        strides[i] = strides[i + 1] * padded[i + 1]
+    full = (1 << strides[0] * padded[0]) - 1
 
-    def decode(idx):
-        coords = []
-        for s, o in zip(strides, plo):
-            c, idx = divmod(idx, s)
-            coords.append(c + o)
-        return tuple(coords)
+    # bit index = row * width + innermost position, and rows ascend in
+    # lexicographic order of their outer coordinates
+    width = padded[-1]
+    prefixes = list(product(*(range(a, a + p)
+                              for a, p in zip(plo[:-1], padded[:-1]))))
+    tails = [(c,) for c in range(plo[-1], plo[-1] + width)]
+
+    def cells(x):
+        """Cells of the set bits of x, ascending: a row with a set bit is
+        found by one search and read as one slice of the digits."""
+        digits = bin(x)[:1:-1]
+        i = digits.find("1")
+        while i >= 0:
+            start = i - i % width
+            prefix = prefixes[start // width]
+            for tail, d in zip(tails, digits[start:start + width]):
+                if d == "1":
+                    yield prefix + tail
+            i = digits.find("1", start + width)
 
     alive = 1  # the window, one coordinate at a time, innermost first
     for s, side in zip(reversed(strides), reversed(sides)):
@@ -167,10 +182,9 @@ def maximal_vclosed_subset(window, f, volume_limit=WINDOW_VOLUME_LIMIT):
             break
         rnd += 1
         for v, sel in removed:
-            for idx in _bits(sel):
-                rank[decode(idx)] = (rnd, v)
+            rank.update(dict.fromkeys(cells(sel), (rnd, v)))
 
-    safe = PointSet(n, frozenset(map(decode, _bits(alive))),
+    safe = PointSet(n, frozenset(cells(alive)),
                     meta={"window": (window.lo, window.hi)})
     return SafeSetCertificate(window, f, safe, rank)
 
@@ -199,7 +213,8 @@ class Verdict:
             rnd, v = self.origin_rank
             doc["origin_rank"] = rnd
             sample = []
-            for z in sorted(self.certificate.rank)[:strategy_sample]:
+            for z in heapq.nsmallest(strategy_sample,
+                                     self.certificate.rank):
                 r, w = self.certificate.rank[z]
                 sample.append({"z": list(z), "rank": r, "offer": list(w)})
             doc["strategy_sample"] = sample
@@ -226,8 +241,9 @@ class ChooserEngine:
     """Subset-state Chooser: the position is always t + sum(S).
 
     Offered v already in S -> answer -1 and drop it; otherwise answer
-    +1 and add it.  The position never leaves t + P(V), so no
-    membership test is ever needed.
+    +1 and add it.  The position never leaves t + P(V); the initial
+    subset and every offered vector are still checked against the
+    family.
     """
 
     def __init__(self, family, t, s0):

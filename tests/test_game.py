@@ -1,3 +1,5 @@
+import hashlib
+import json
 import random
 from itertools import product
 
@@ -5,11 +7,13 @@ import pytest
 
 from balgame import game
 from balgame.balance import chooser_translate
+from balgame.cli import main
 from balgame.core import (PointSet, VectorFamily, canonical_family,
                           enumerate_psum, vadd, vsub, zero)
 from balgame.game import (ChooserEngine, GameRegion, NoWinningMoveError,
                           PusherEngine, RandomPusher, Window, is_vclosed,
                           maximal_vclosed_subset, simulate, verdict)
+from balgame.threshold import critical_M
 
 
 def test_is_vclosed_psum():
@@ -221,6 +225,10 @@ def test_window_family_dimension_mismatch():
                                canonical_family(2))
 
 
+# longest window side per dimension for the reference comparisons
+REFERENCE_SIDE = {1: 15, 2: 8, 3: 5, 4: 3}
+
+
 def reference_rounds(window, f):
     """Naive synchronous fixed point on tuples: each round removes every
     live cell z that has a member v with z+v and z-v both dead at the
@@ -243,9 +251,14 @@ def reference_rounds(window, f):
         rank.update(gone)
 
 
+def assert_rank_order(cert):
+    keys = [(rnd, cert.family.index(v), z)
+            for z, (rnd, v) in cert.rank.items()]
+    assert keys == sorted(keys)
+
+
 def test_kernel_matches_reference_fixed_point():
     rng = random.Random(2024)
-    side = {1: 15, 2: 8, 3: 5, 4: 3}
     for _ in range(200):
         n = rng.randint(1, 4)
         k = rng.randint(1, 4)
@@ -256,8 +269,110 @@ def test_kernel_matches_reference_fixed_point():
                 members.append(v)
         f = VectorFamily(n, tuple(members), strict=False)
         lo = tuple(rng.randint(-3, 1) for _ in range(n))
-        hi = tuple(a + rng.randint(0, side[n]) for a in lo)
+        hi = tuple(a + rng.randint(0, REFERENCE_SIDE[n]) for a in lo)
         cert = maximal_vclosed_subset(Window(lo, hi), f)
         safe, rank = reference_rounds(Window(lo, hi), f)
         assert cert.safe.points == safe
         assert cert.rank == rank
+        assert_rank_order(cert)
+
+
+def test_kernel_matches_reference_property():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+
+    @st.composite
+    def cases(draw):
+        n = draw(st.integers(1, 4))
+        members = draw(st.lists(st.tuples(*[st.integers(-3, 3)] * n),
+                                max_size=4, unique=True))
+        lo = draw(st.tuples(*[st.integers(-3, 1)] * n))
+        hi = tuple(a + draw(st.integers(0, REFERENCE_SIDE[n])) for a in lo)
+        return members, lo, hi
+
+    @hypothesis.settings(max_examples=200, deadline=None,
+                         derandomize=True, database=None)
+    @hypothesis.given(cases())
+    # the decoder's edges: a 1-D window, a window one cell wide in the
+    # innermost coordinate, an empty family (the whole window is safe),
+    # a zero member, and entries of 3 (padding 3)
+    @hypothesis.example(([(1,), (3,)], (-2,), (9,)))
+    @hypothesis.example(([(1, 1, 0), (0, 1, 1), (1, 0, -1)],
+                         (-1, -2, 0), (3, 2, 0)))
+    @hypothesis.example(([], (-1, 0), (2, 3)))
+    @hypothesis.example(([(0, 0), (1, -1), (1, 1)], (-3, -3), (2, 1)))
+    @hypothesis.example(([(3, -2, 1), (-1, 3, 0)], (-2, -2, -2), (3, 3, 2)))
+    def check(case):
+        members, lo, hi = case
+        f = VectorFamily(len(lo), tuple(members), strict=False)
+        w = Window(lo, hi)
+        cert = maximal_vclosed_subset(w, f)
+        safe, rank = reference_rounds(w, f)
+        assert cert.safe.points == safe
+        assert cert.rank == rank
+        assert_rank_order(cert)
+        if not members:
+            assert len(safe) == w.volume()
+
+    check()
+
+
+# sha256 of kernel output recorded with the per-cell decoder: the bytes
+# `maximal` prints, and per canonical verdict its as_dict() JSON and its
+# rank table in insertion order
+PINNED_MAXIMAL = [
+    ("dim 2\n1,1\n1,-1\n", "-6:0;-6:0", "--json",
+     "85930c268db90ba2360d4671276710fc21039982f12b8a53e10267a9810e331d"),
+    ("dim 2\n1,1\n1,-1\n", "-6:0;-6:0", "--dump",
+     "c48da6b766d7a2b82476c1ede4397e6ff0ca78f71646e5fb74c50a259729d4cc"),
+    ("dim 3\n1,0,1\n0,1,-1\n1,-1,1\n2,1,0\n", "-5:3;-4:4;-3:5", "--json",
+     "de199b9e39ea8ba05564d456a7a49dae487f23b1d1cbd73a9acfe52a00b2ec83"),
+    ("dim 3\n1,0,1\n0,1,-1\n1,-1,1\n2,1,0\n", "-5:3;-4:4;-3:5", "--dump",
+     "b4bfce401d95bd86efc035cdc2036fae934f6ac78786e01d21ba44720c520f86"),
+    ("dim 4\n1,0,1,-1\n0,1,1,1\n1,1,0,0\n1,-1,0,1\n",
+     "-3:4;-4:3;-3:3;-2:4", "--json",
+     "a5d890ad85cee4603a2b464df400e09b60731e5a45647753a73c833d4b30b879"),
+    ("dim 4\n1,0,1,-1\n0,1,1,1\n1,1,0,0\n1,-1,0,1\n",
+     "-3:4;-4:3;-3:3;-2:4", "--dump",
+     "788b77d4f55cb2bfc920a7de0f4aeb00d875c3d3853c5713d929cd4a86fb5a3b"),
+]
+
+PINNED_VERDICTS = [
+    (2, -1, "c17343d4586d24c02bd2ec79922d9929e1715e7f7da2373c5e76b5a7789b1f21",
+     "566be3671b9b9936ad638923343eec96bb21368ed0a114be672b8e7bf7ccff35"),
+    (2, 0, "fd0c5b5aab9ecdcae10f3c5caa4a05f7971bb9b28d701ac76e9a82f099a9a059",
+     "9f2e3fdf35ed3b85293d7af4084cf19093af9e35ef58f65d3e966cb87672c311"),
+    (3, -1, "2e181ef41a0eda06b31932f311721198799050c42a0c61bb646573dcfa00591b",
+     "28b0fa50fea01a264847ce8030ada34ecaa61c429ff6f216175fda45744e5402"),
+    (3, 0, "b07fd65263e397e74808ba10a2897631cb123fd060f2852770c33047bb5627be",
+     "93181d521dc92e9e0fb9f1f2683486f3404b11e368760661b32a7ca1da9ec185"),
+    (4, -1, "2bd5b5e6d7317b939871ead3144de7db0eb1007800de5109573b45ce4d81828e",
+     "349187199f6bca5b0acdcf5678da7d29afe4390ce553001fedfc9fa292f2c4be"),
+    (4, 0, "02180b56a9a3652ce8258d9b8a01f1f7517a64a172e344c83c927525d0f91d7c",
+     "14c9a5065103c09dab5f435e1f488d624041ef20a7d488732587f6e163cddfad"),
+]
+
+
+@pytest.mark.parametrize("family,window,flag,digest", PINNED_MAXIMAL,
+                         ids=["%dd%s" % (len(w.split(";")), flag)
+                              for _, w, flag, _ in PINNED_MAXIMAL])
+def test_maximal_output_pinned(capsys, tmp_path, family, window, flag,
+                               digest):
+    fam_path = tmp_path / "fam.txt"
+    fam_path.write_text(family)
+    assert main(["maximal", "--family", str(fam_path),
+                 "--window=" + window, flag]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("n,dm,doc_digest,rank_digest", PINNED_VERDICTS,
+                         ids=["n%d-M%+d" % (n, dm)
+                              for n, dm, _, _ in PINNED_VERDICTS])
+def test_verdict_output_pinned(n, dm, doc_digest, rank_digest):
+    m = critical_M(n).m_crit + dm
+    res = verdict(GameRegion(n, (m,) * n), canonical_family(n))
+    doc = json.dumps(res.as_dict(), sort_keys=True)
+    rank = repr(list(res.certificate.rank.items()))
+    assert hashlib.sha256(doc.encode()).hexdigest() == doc_digest
+    assert hashlib.sha256(rank.encode()).hexdigest() == rank_digest
