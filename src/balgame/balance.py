@@ -3,16 +3,18 @@
 Builds Chooser's explicit translate for every n: majority signs off the
 middle layer, and a balanced signing of the middle layer itself.  The
 middle-layer signing goes through either a rotation-orbit decomposition
-plus backtracking search (small n) or a greedy pair system, an exact
-linear-algebraic partial coloring, and a pair-wise expression step
-(large n).
+plus a backtracking search, exact for +-1 vectors (small n), or a greedy
+pair system, an exact partial coloring whose kernel steps eliminate
+with `lp.pivot`, and a pair-wise expression step (large n).
 """
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from itertools import combinations
 from math import comb
 
+from . import lp
 from .core import (SignAssignment, VectorFamily, canonical_family, center,
                    lattice_member, smul, vadd, vneg, vsub, zero)
 from .threshold import critical_M, is_power_of_two
@@ -151,52 +153,14 @@ def _search_reps(reps, target, node_budget=4 * 10 ** 6):
     return None
 
 
-def _search_reps_mitm(reps, target):
-    """Meet-in-the-middle fallback: subset-sum after the substitution
-    sum eps_j r_j = -sum r_j + 2 * sum_{j in S} r_j."""
-    n = len(target)
-    base = zero(n)
-    for r in reps:
-        base = vadd(base, r)
-    need2 = vsub(target, smul(-1, base))
-    if any(a % 2 for a in need2):
-        return None
-    need = tuple(a // 2 for a in need2)  # want sum over S of reps = need
-
-    half = len(reps) // 2
-    left, right = reps[:half], reps[half:]
-
-    # left side keeps one mask per distinct sum (first found); the right
-    # side probes for the complementary sum
-    lsums = {}
-    all_left = [(zero(n), 0)]
-    for j, v in enumerate(left):
-        all_left += [(vadd(s, v), m | (1 << j)) for s, m in all_left]
-    for s, m in all_left:
-        if s not in lsums:
-            lsums[s] = m
-    all_right = [(zero(n), 0)]
-    for j, v in enumerate(right):
-        all_right += [(vadd(s, v), m | (1 << j)) for s, m in all_right]
-    for s, rm in all_right:
-        lneed = vsub(need, s)
-        if lneed in lsums:
-            lm = lsums[lneed]
-            signs = []
-            for j in range(len(left)):
-                signs.append(1 if lm & (1 << j) else -1)
-            for j in range(len(right)):
-                signs.append(1 if rm & (1 << j) else -1)
-            return signs
-    return None
-
-
 def search_signs(vs, target):
-    """Antisymmetric signs over a negation-closed vector list summing to
-    `target` (the zero vector or 2w).  Returns {v: eps_v}."""
+    """Antisymmetric signs over a negation-closed list of +-1 vectors
+    summing to `target` (the zero vector or 2w).  Returns {v: eps_v}."""
     vs = list(vs)
     vset = set(vs)
     for v in vs:
+        if any(a not in (-1, 1) for a in v):
+            raise ValueError("search_signs expects +-1 vectors")
         if vneg(v) not in vset:
             raise ValueError("input not closed under negation at %s" % (v,))
     reps = _pack_pairs(vs)
@@ -204,12 +168,7 @@ def search_signs(vs, target):
         raise UnsatisfiableError("target has odd coordinates")
     half_target = tuple(a // 2 for a in target)
     # sum over pairs of eps_r * 2r = target  <=>  sum eps_r r = target/2
-    try:
-        signs = _search_reps(reps, half_target)
-    except UnsatisfiableError:
-        signs = None
-    if signs is None:
-        signs = _search_reps_mitm(reps, half_target)
+    signs = _search_reps(reps, half_target)
     if signs is None:
         raise UnsatisfiableError("no antisymmetric signing reaches %s"
                                  % (target,))
@@ -327,32 +286,21 @@ def _kernel_vector(cols, n):
     given columns (m > rank guaranteed by m = n+1)."""
     m = len(cols)
     a = [[Fraction(cols[j][i]) for j in range(m)] for i in range(n)]
-    pivots = []  # (row, col)
-    row = 0
+    basis = []  # basis[r] is the pivot column of row r
     for col in range(m):
-        sel = None
-        for r in range(row, n):
-            if a[r][col] != 0:
-                sel = r
-                break
+        row = len(basis)
+        sel = next((r for r in range(row, n) if a[r][col] != 0), None)
         if sel is None:
             continue
         a[row], a[sel] = a[sel], a[row]
-        pv = a[row][col]
-        a[row] = [x / pv for x in a[row]]
-        for r in range(n):
-            if r != row and a[r][col] != 0:
-                fac = a[r][col]
-                a[r] = [x - fac * y for x, y in zip(a[r], a[row])]
-        pivots.append((row, col))
-        row += 1
-        if row == n:
+        basis.append(col)
+        lp.pivot(a, basis, row, col)
+        if len(basis) == n:
             break
-    pivot_cols = {c for _r, c in pivots}
-    free = next(c for c in range(m) if c not in pivot_cols)
+    free = next(c for c in range(m) if c not in basis)
     k = [Fraction(0)] * m
     k[free] = Fraction(1)
-    for r, c in pivots:
+    for r, c in enumerate(basis):
         k[c] = -a[r][free]
     return k
 
@@ -491,15 +439,10 @@ def express_in_pairs(target, ps):
 
 def _pow2_defect_candidates(n):
     """Candidate defect vectors: n/4 coordinates at +3, the rest at -1.
-    The patterns matching the bundled tables come first."""
-    preferred = {4: [(0,)], 8: [(0, 4)]}
-    seen = []
-    for pos in preferred.get(n, []):
-        seen.append(pos)
-        yield tuple(3 if i in pos else -1 for i in range(n))
-    for pos in combinations(range(n), n // 4):
-        if pos in seen:
-            continue
+    Positions that are all 0 mod 4 come first; they give the patterns of
+    the bundled tables, (0,) at n = 4 and (0, 4) at n = 8."""
+    for pos in sorted(combinations(range(n), n // 4),
+                      key=lambda pos: any(i % 4 for i in pos)):
         yield tuple(3 if i in pos else -1 for i in range(n))
 
 
@@ -593,13 +536,9 @@ def balance_middle(n):
     return sa, tuple(defect)
 
 
-_BALANCE_CACHE = {}
-
-
+@cache
 def balance_middle_cached(n):
-    if n not in _BALANCE_CACHE:
-        _BALANCE_CACHE[n] = balance_middle(n)
-    return _BALANCE_CACHE[n]
+    return balance_middle(n)
 
 
 # --- Chooser's explicit translate --------------------------------------

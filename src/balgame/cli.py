@@ -147,6 +147,8 @@ def cmd_maximal(args):
 
 def cmd_simulate(args):
     n = args.n
+    if args.rounds < 0:
+        raise ValueError("--rounds must be >= 0, got %d" % args.rounds)
     f = canonical_family(n)
     m = args.M if args.M is not None else threshold.critical_M(n).m_crit
     region = game.GameRegion(n, (m,) * n)
@@ -194,6 +196,8 @@ def _prompt_offer(z, f, region):
 
 def cmd_play(args):
     n = args.n
+    if args.rounds < 0:
+        raise ValueError("--rounds must be >= 0, got %d" % args.rounds)
     f = canonical_family(n)
     m = args.M if args.M is not None else threshold.critical_M(n).m_crit
     region = game.GameRegion(n, (m,) * n)

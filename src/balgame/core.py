@@ -147,9 +147,6 @@ class SignAssignment:
         if any(s not in (-1, 1) for s in self.signs):
             raise ValueError("signs must be -1 or +1")
 
-    def sign_of(self, v):
-        return self.signs[self.family.index(v)]
-
     def positive_subset(self):
         """S0 = {v : eps_v = +1}."""
         return tuple(v for v, s in zip(self.family.members, self.signs)
@@ -231,7 +228,8 @@ def lattice_member(u):
 
 # --- family file format -------------------------------------------------
 # first line: "dim n"; then one vector per line, either comma-separated
-# integers or a 0/1 string (0 -> -1, 1 -> +1).
+# integers or a 0/1 string (0 -> -1, 1 -> +1); with n = 1 every line is
+# one integer, as format_family writes it.
 
 def bits_to_vector(bits):
     if set(bits) - {"0", "1"}:
@@ -253,7 +251,7 @@ def parse_family(text, label="", strict=True):
     n = int(head[1])
     members = []
     for ln in lines[1:]:
-        if "," in ln:
+        if "," in ln or n == 1:
             v = tuple(int(x) for x in ln.split(","))
         else:
             v = bits_to_vector(ln)

@@ -4,16 +4,17 @@ checker needs; no floating point anywhere.
 
 `simplex_max` solves from the feasible origin of `a_ub z <= b_ub` with
 `b_ub >= 0`; `feasible_combination` is a phase one on its equality
-rows."""
+rows.  `pivot` is also the partial coloring's elimination step."""
 
 from fractions import Fraction
 
 OPTIMAL = "optimal"
-INFEASIBLE = "infeasible"
 UNBOUNDED = "unbounded"
 
 
-def _pivot(tab, basis, r, c):
+def pivot(tab, basis, r, c):
+    """Scale row r by tab[r][c], clear column c from every other row and
+    record c as row r's basic column."""
     pv = tab[r][c]
     tab[r] = [x / pv for x in tab[r]]
     for i in range(len(tab)):
@@ -42,7 +43,7 @@ def _run(tab, basis):
                     best = (ratio, i)
         if best is None:
             return UNBOUNDED
-        _pivot(tab, basis, best[1], enter)
+        pivot(tab, basis, best[1], enter)
 
 
 def simplex_max(c, a_ub, b_ub):

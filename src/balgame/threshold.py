@@ -106,9 +106,12 @@ def critical_M(n):
 
 def cross_validate(n, margin=2, depth=None):
     """Sweep M around the closed-form threshold and check the
-    brute-force game verdict flips exactly there."""
+    brute-force game verdict flips exactly there; margin >= 1 puts
+    both M_crit - 1 and M_crit in the sweep."""
     from . import game
 
+    if margin < 1:
+        raise ValueError("margin must be >= 1, got %d" % margin)
     if n > 4:
         raise ValueError("cross_validate covers n <= 4: at n=%d the window "
                          "has %d cells, each kept in a rank table"

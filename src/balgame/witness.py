@@ -3,13 +3,13 @@
 For an exposed point x of the hull of a finite V-closed set T, the
 witness is the translate t + P(V) with t = x - p, where p is the
 zonotope vertex in the direction of x's supporting normal.  Every hull
-question (membership, extremality, the normal) is one exact LP in
-`lp`, in every dimension.
+question is one exact LP in `lp`: membership is a phase one, and the
+normal is a max-margin LP whose optimum mu* also decides extremality,
+since every extreme point of a finite set is exposed (mu* > 0).
 
-The normal needs no perturbation: every extreme point of a finite set
-is exposed, so the best margin mu* is positive, and since T is
-V-closed one of x +- v lies in T for each nonzero member v, whose
-margin row gives |a.v| >= mu* > 0.
+The normal needs no perturbation: since T is V-closed, one of x +- v
+lies in T for each nonzero member v, whose margin row gives
+|a.v| >= mu* > 0.
 """
 
 import random as _random
@@ -44,34 +44,26 @@ def in_convex_hull(points, q):
     return lp.feasible_combination(list(points), q) is not None
 
 
-_EXTREME_CACHE = {}
-
-
 def extreme_points(t):
     """All x in T that are not convex combinations of the rest."""
     if len(t) > T_SIZE_LIMIT:
         raise ValueError("point set too large (%d > %d)"
                          % (len(t), T_SIZE_LIMIT))
-    key = (t.dim, t.points)
-    if key in _EXTREME_CACHE:
-        return list(_EXTREME_CACHE[key])
     pts = sorted(t.points)
-    out = [x for x in pts
-           if lp.feasible_combination([p for p in pts if p != x], x) is None]
-    _EXTREME_CACHE[key] = tuple(out)
-    return out
+    return [x for x in pts
+            if lp.feasible_combination([p for p in pts if p != x], x) is None]
 
 
 def exposed_normal(t, x):
     """A rational direction a with a.x > a.y for every other y of T,
-    maximizing the minimum margin under |a_i| <= 1.  x must be an
-    extreme point, so that margin is positive."""
-    pts = sorted(t.points)
+    maximizing the minimum margin under |a_i| <= 1; x is an extreme
+    point of T exactly when that margin is positive."""
     if x not in t.points:
         raise ValueError("x must belong to T")
-    if x not in set(extreme_points(t)):
-        raise ValueError("x is not an extreme point of T")
-    others = [p for p in pts if p != x]
+    if len(t) > T_SIZE_LIMIT:
+        raise ValueError("point set too large (%d > %d)"
+                         % (len(t), T_SIZE_LIMIT))
+    others = [p for p in sorted(t.points) if p != x]
     n = t.dim
     if not others:
         return (Fraction(1),) * n
@@ -97,7 +89,9 @@ def exposed_normal(t, x):
     c = [Fraction(0)] * nv
     c[2 * n] = Fraction(1)
     c[2 * n + 1] = Fraction(-1)
-    _status, _value, z = lp.simplex_max(c, a_ub, b_ub)
+    _status, value, z = lp.simplex_max(c, a_ub, b_ub)
+    if value <= 0:
+        raise ValueError("x is not an extreme point of T")
     return tuple(z[i] - z[n + i] for i in range(n))
 
 

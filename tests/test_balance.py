@@ -1,8 +1,11 @@
+import functools
 from fractions import Fraction
-from math import comb
+from itertools import product
+from math import ceil, comb, floor
 
 import pytest
 
+from balgame import balance
 from balgame.balance import (NotExpressibleError, UnsatisfiableError,
                              balance_middle, balance_middle_cached,
                              chooser_translate, express_in_pairs,
@@ -82,6 +85,21 @@ def test_search_signs_errors():
         search_signs([(1, -1), (-1, 1)], (1, 1))  # odd target
     with pytest.raises(UnsatisfiableError):
         search_signs([(1, -1), (-1, 1)], (2, 2))  # unreachable
+    with pytest.raises(ValueError, match="1 vectors"):
+        search_signs([(2, 0), (-2, 0)], (0, 0))  # backtracking needs +-1
+    with pytest.raises(ValueError, match="1 vectors"):
+        search_signs([(1, 0), (-1, 0)], (2, 0))
+
+
+def test_search_signs_budget_exhausted(monkeypatch):
+    n = 6
+    orbits = orbit_decompose(n)
+    selfneg = [v for o in orbits if o.self_negating for v in o.members]
+    monkeypatch.setattr(balance, "_search_reps",
+                        functools.partial(balance._search_reps,
+                                          node_budget=3))
+    with pytest.raises(UnsatisfiableError, match="node budget"):
+        search_signs(selfneg, zero(n))
 
 
 def test_partial_color_bound():
@@ -114,18 +132,26 @@ def test_greedy_pairs():
 
 
 def test_express_in_pairs_roundtrip():
+    # every lattice point within +-2 of the center, coordinate by
+    # coordinate, is expressible by one vector of every pair plus w or not
     ps = greedy_pairs(14, 7)
     g = pair_system_center(ps)
-    # the center shifted by a small lattice move stays expressible
-    target = tuple(a + b for a, b in
-                   zip(g, (Fraction(1), Fraction(-1)) + (Fraction(0),) * 12))
-    try:
-        subset = express_in_pairs(target, ps)
-    except NotExpressibleError:
-        subset = None
-    if subset is not None:
-        assert signed_sum([(1, v) for v in subset]) == \
-            tuple(int(a) for a in target)
+    vectors = set(ps.vectors())
+    count = 0
+    for parity in (0, 1):
+        ranges = [[a for a in range(ceil(c - 2), floor(c + 2) + 1)
+                   if a % 2 == parity] for c in g]
+        for target in product(*ranges):
+            if sum(target) != 0:
+                continue
+            subset = express_in_pairs(target, ps)
+            assert signed_sum([(1, v) for v in subset]) == target
+            chosen = set(subset)
+            assert len(chosen) == len(subset) and chosen <= vectors
+            for vp, vm in ps.pairs.values():
+                assert (vp in chosen) != (vm in chosen)
+            count += 1
+    assert count == 6864
     with pytest.raises(NotExpressibleError):
         express_in_pairs((Fraction(1, 2),) * 14, ps)
 

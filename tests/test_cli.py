@@ -42,6 +42,17 @@ def test_threshold_rejects_n_zero(capsys):
     assert err.count("\n") == 1 and err.startswith("error:")
 
 
+@pytest.mark.parametrize("margin", ["-1", "0"])
+def test_threshold_verify_rejects_margin_below_one(capsys, margin):
+    # margin -1 sweeps nothing and margin 0 sweeps M_crit alone; neither
+    # can see the flip
+    code, out, err = run(capsys, "threshold", "--n", "3",
+                         "--margin=" + margin, "--verify", "--json")
+    assert code == 2
+    assert out == ""
+    assert err.count("\n") == 1 and err.startswith("error:")
+
+
 def test_threshold_verify(capsys):
     code, out, _ = run(capsys, "threshold", "--n", "3", "--verify", "--json")
     assert code == 0
@@ -164,6 +175,9 @@ def test_output_independent_of_hash_seed(tmp_path):
         ["maximal", "--family", str(fam_path), "--window=-9:1;-9:1;-9:1",
          "--dump"],
         ["witness", "--family", str(fam_path), "--set", str(set_path)],
+        ["signs", "--middle", "8"],
+        ["coloring", "--m", "3"],
+        ["simulate", "--n", "4", "--rounds", "200", "--seed", "1"],
     ]
     for argv in commands:
         outs = set()
@@ -183,6 +197,14 @@ def test_simulate_survives(capsys):
     doc = json.loads(out)
     assert doc["outcome"] == "survived"
     assert doc["M"] == 3
+
+
+@pytest.mark.parametrize("cmd", ["simulate", "play"])
+def test_negative_rounds_is_usage_error(capsys, cmd):
+    code, out, err = run(capsys, cmd, "--n", "3", "--rounds", "-5")
+    assert code == 2
+    assert out == ""
+    assert err.count("\n") == 1 and err.startswith("error:")
 
 
 def test_simulate_deterministic(capsys):

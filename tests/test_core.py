@@ -1,3 +1,4 @@
+import random
 from itertools import combinations
 
 import pytest
@@ -142,9 +143,25 @@ def test_sign_assignment():
         SignAssignment(f, (1, 0))
 
 
+def random_strict_family(rng, dim):
+    members = []
+    for _ in range(rng.randint(0, 6)):
+        v = tuple(rng.randint(-12, 12) for _ in range(dim))
+        if any(v) and not any(is_parallel(v, u) for u in members):
+            members.append(v)
+    return VectorFamily(dim, tuple(members))
+
+
 def test_family_file_roundtrip():
     f = canonical_family(3)
     assert parse_family(format_family(f)).members == f.members
+    # a 1-D member is written without a comma, so "-1" and "10" must not
+    # be read as bit strings
+    rng = random.Random(20261018)
+    for dim in (1, 2, 3, 4):
+        for _ in range(50):
+            f = random_strict_family(rng, dim)
+            assert parse_family(format_family(f)) == f
     # binary-string form
     g = parse_family("dim 4\n1100\n1010\n")
     assert g.members == ((1, 1, -1, -1), (1, -1, 1, -1))
@@ -155,7 +172,8 @@ def test_family_file_roundtrip():
 
 @pytest.mark.parametrize("text", ["dim\n1,1\n", "dim3\n1,1,1\n",
                                   "dimension 2\n1,1\n", "dim x\n1,1\n",
-                                  "dim 3\n1x1\n", "dim 2\n1 1\n"])
+                                  "dim 3\n1x1\n", "dim 2\n1 1\n",
+                                  "dim 1\n0\n"])
 def test_family_file_rejects_malformed(text):
     with pytest.raises(ValueError):
         parse_family(text)
@@ -169,3 +187,11 @@ def test_bits_to_vector_rejects_other_characters():
 def test_pointset_roundtrip():
     ps = PointSet(2, frozenset({(0, 0), (1, -1)}))
     assert parse_pointset(format_pointset(ps)).points == ps.points
+    rng = random.Random(7)
+    for dim in (1, 2, 3, 4):
+        for _ in range(50):
+            pts = frozenset(tuple(rng.randint(-30, 30) for _ in range(dim))
+                            for _ in range(rng.randint(1, 40)))
+            ps = PointSet(dim, pts)
+            assert parse_pointset(format_pointset(ps)) == ps
+            assert parse_pointset(format_pointset(ps), n=dim) == ps

@@ -8,9 +8,10 @@ import pytest
 from balgame.core import (PointSet, VectorFamily, canonical_family,
                           enumerate_psum, vadd, vdot, vsub)
 from balgame.game import is_vclosed
-from balgame.witness import (NotApplicableError, NotVClosedError,
-                             exposed_normal, extreme_points, in_convex_hull,
-                             random_vclosed, translate_witness)
+from balgame.witness import (T_SIZE_LIMIT, NotApplicableError,
+                             NotVClosedError, exposed_normal, extreme_points,
+                             in_convex_hull, random_vclosed,
+                             translate_witness)
 
 SUB3 = VectorFamily(3, canonical_family(3).members[:3], label="sub3")
 
@@ -55,6 +56,27 @@ def test_exposed_normal():
             assert vdot(a, vsub((2, 2), y)) > 0
     with pytest.raises(ValueError):
         exposed_normal(ps, (5, 5))
+    big = PointSet(1, frozenset((a,) for a in range(T_SIZE_LIMIT + 1)))
+    with pytest.raises(ValueError, match="too large"):
+        exposed_normal(big, (0,))
+
+
+def test_exposed_normal_rejects_non_extreme():
+    grid = PointSet(2, frozenset((a, b) for a in range(3) for b in range(3)))
+    for x in ((1, 1), (1, 0), (0, 1)):  # interior, then two edge midpoints
+        with pytest.raises(ValueError, match="not an extreme point"):
+            exposed_normal(grid, x)
+    assert exposed_normal(grid, (0, 0)) == (Fraction(-1), Fraction(-1))
+    # agrees with the phase-one extremality test on every point
+    t = random_vclosed(canonical_family(3), 2)
+    extreme = set(extreme_points(t))
+    for x in sorted(t.points):
+        try:
+            exposed_normal(t, x)
+            got = True
+        except ValueError:
+            got = False
+        assert got == (x in extreme), x
 
 
 def test_exposed_normal_singleton():
