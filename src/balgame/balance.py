@@ -1,11 +1,12 @@
 """Sign-assignment constructions for the canonical family.
 
-Builds Chooser's explicit translate for every n: majority signs off the
-middle layer, and a balanced signing of the middle layer itself.  The
-middle-layer signing goes through either a rotation-orbit decomposition
-plus a backtracking search, exact for +-1 vectors (small n), or a greedy
-pair system, an exact partial coloring whose kernel steps eliminate
-with `lp.pivot`, and a pair-wise expression step (large n).
+Builds Chooser's explicit translate for every n up to N_LIMIT: majority
+signs off the middle layer, and a balanced signing of the middle layer
+itself.  The middle-layer signing goes through either a rotation-orbit
+decomposition plus a backtracking search, exact for +-1 vectors (small
+n), or a greedy pair system, an exact partial coloring, and a pair-wise
+expression step (large n).  The coloring's kernel vectors come from
+fraction-free integer elimination with `lp.pivot`.
 """
 
 from dataclasses import dataclass
@@ -15,8 +16,9 @@ from itertools import combinations
 from math import comb
 
 from . import lp
-from .core import (SignAssignment, VectorFamily, canonical_family, center,
-                   lattice_member, smul, vadd, vneg, vsub, zero)
+from .core import (SignAssignment, SizeLimitError, VectorFamily,
+                   canonical_family, center, lattice_member, smul, vadd, vneg,
+                   vsub, zero)
 from .threshold import critical_M, is_power_of_two
 
 
@@ -33,10 +35,25 @@ class UnsatisfiableError(RuntimeError):
     pass
 
 
+# The largest n the constructions finish in under a minute (2-vCPU Xeon,
+# Python 3.11): balance_middle(20) takes about 34 s and
+# chooser_translate(21) about 40 s, while n = 22 has a middle layer of
+# C(21, 11) = 352716 vectors, about four times that of n = 20.
+N_LIMIT = 21
+
+
+def check_size(n):
+    """Reject an n above N_LIMIT with SizeLimitError."""
+    if n > N_LIMIT:
+        raise SizeLimitError("n = %d is above the construction limit %d"
+                             % (n, N_LIMIT))
+
+
 def odd_signs(n):
     """Majority signs for odd n: the signed sum is C(n-1,(n-1)/2) * 1."""
     if n % 2 == 0 or n < 3:
         raise ValueError("n must be odd and >= 3, got %s" % n)
+    check_size(n)
     f = canonical_family(n)
     signs = tuple(1 if sum(v) > 0 else -1 for v in f)
     sa = SignAssignment(f, signs)
@@ -283,10 +300,13 @@ def greedy_pairs(n, R):
 
 def _kernel_vector(cols, n):
     """A nonzero rational kernel vector of the n x m matrix with the
-    given columns (m > rank guaranteed by m = n+1)."""
+    given integer columns (m > rank guaranteed by m = n+1), by
+    fraction-free elimination: row r of the integer tableau over its
+    common denominator d has d in its pivot column."""
     m = len(cols)
-    a = [[Fraction(cols[j][i]) for j in range(m)] for i in range(n)]
+    a = [[cols[j][i] for j in range(m)] for i in range(n)]
     basis = []  # basis[r] is the pivot column of row r
+    d = 1
     for col in range(m):
         row = len(basis)
         sel = next((r for r in range(row, n) if a[r][col] != 0), None)
@@ -294,14 +314,14 @@ def _kernel_vector(cols, n):
             continue
         a[row], a[sel] = a[sel], a[row]
         basis.append(col)
-        lp.pivot(a, basis, row, col)
+        d = lp.pivot(a, basis, row, col, d)
         if len(basis) == n:
             break
     free = next(c for c in range(m) if c not in basis)
     k = [Fraction(0)] * m
     k[free] = Fraction(1)
     for r, c in enumerate(basis):
-        k[c] = -a[r][free]
+        k[c] = Fraction(-a[r][free], d)
     return k
 
 
@@ -325,11 +345,12 @@ def partial_color(vs):
             raise ValueError("partial_color expects +-1 vectors")
     lam = [Fraction(0)] * big_n
     frozen = {}
-    pool = list(range(big_n))
+    nxt = 0  # next column of vs to enter the active set
     active = []
     while True:
-        while pool and len(active) < n + 1:
-            active.append(pool.pop(0))
+        while nxt < big_n and len(active) < n + 1:
+            active.append(nxt)
+            nxt += 1
         if len(active) <= n:
             break
         k = _kernel_vector([vs[j] for j in active], n)
@@ -514,6 +535,7 @@ def balance_middle(n):
     coordinates at +3 and the rest at -1."""
     if n % 2 != 0 or n < 2:
         raise ValueError("n must be even and >= 2, got %s" % n)
+    check_size(n)
     if n == 2:
         # single middle-layer vector (1,-1); sign -1 keeps the translate
         # shift within the w_i <= 1 regime
@@ -551,6 +573,7 @@ def chooser_translate(n):
     """
     if n < 2:
         raise ValueError("n must be >= 2, got %s" % n)
+    check_size(n)
     f = canonical_family(n)
     m = critical_M(n).m_crit
     g = center(f)

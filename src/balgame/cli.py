@@ -53,7 +53,7 @@ def cmd_threshold(args):
 
 
 def cmd_signs(args):
-    if args.odd:
+    if args.odd is not None:
         n = args.odd
         sa = balance.odd_signs(n)
         reported = list(sa.signed_sum())
@@ -147,6 +147,7 @@ def cmd_maximal(args):
 
 def cmd_simulate(args):
     n = args.n
+    balance.check_size(n)
     if args.rounds < 0:
         raise ValueError("--rounds must be >= 0, got %d" % args.rounds)
     f = canonical_family(n)
@@ -196,6 +197,7 @@ def _prompt_offer(z, f, region):
 
 def cmd_play(args):
     n = args.n
+    balance.check_size(n)
     if args.rounds < 0:
         raise ValueError("--rounds must be >= 0, got %d" % args.rounds)
     f = canonical_family(n)

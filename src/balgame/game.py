@@ -306,11 +306,12 @@ def simulate(region, f, chooser, pusher, rounds):
     """
     tr = Transcript(region, zero(region.dim))
     z = tr.initial
+    offer = pusher.offer if hasattr(pusher, "offer") else pusher
+    respond = chooser.respond if hasattr(chooser, "respond") else None
     for _ in range(rounds):
         if not region.contains(z):
             tr.outcome = "escaped"
             return tr
-        offer = pusher.offer if hasattr(pusher, "offer") else pusher
         try:
             v = offer(z)
         except WindowEscape:
@@ -319,10 +320,7 @@ def simulate(region, f, chooser, pusher, rounds):
         if v is None:
             tr.outcome = "escaped"
             return tr
-        if hasattr(chooser, "respond"):
-            eps = chooser.respond(v)
-        else:
-            eps = chooser(v, z)
+        eps = respond(v) if respond else chooser(v, z)
         if eps not in (-1, 1):
             raise ValueError("chooser must answer -1 or +1")
         z = vadd(z, (eps * a for a in v))

@@ -5,7 +5,9 @@ witness is the translate t + P(V) with t = x - p, where p is the
 zonotope vertex in the direction of x's supporting normal.  Every hull
 question is one exact LP in `lp`: membership is a phase one, and the
 normal is a max-margin LP whose optimum mu* also decides extremality,
-since every extreme point of a finite set is exposed (mu* > 0).
+since every extreme point of a finite set is exposed (mu* > 0).  A
+translate point that is itself in T needs no LP; `replay()` still runs
+one for every point.
 
 The normal needs no perturbation: since T is V-closed, one of x +- v
 lies in T for each nonzero member v, whose margin row gives
@@ -73,22 +75,22 @@ def exposed_normal(t, x):
     b_ub = []
     for y in others:
         d = vsub(x, y)
-        row = [Fraction(0)] * nv
+        row = [0] * nv
         for i in range(n):
-            row[i] = -Fraction(d[i])
-            row[n + i] = Fraction(d[i])
-        row[2 * n] = Fraction(1)
-        row[2 * n + 1] = Fraction(-1)
+            row[i] = -d[i]
+            row[n + i] = d[i]
+        row[2 * n] = 1
+        row[2 * n + 1] = -1
         a_ub.append(row)      # mu - a.(x-y) <= 0
-        b_ub.append(Fraction(0))
+        b_ub.append(0)
     for i in range(2 * n):
-        row = [Fraction(0)] * nv
-        row[i] = Fraction(1)
+        row = [0] * nv
+        row[i] = 1
         a_ub.append(row)
-        b_ub.append(Fraction(1))
-    c = [Fraction(0)] * nv
-    c[2 * n] = Fraction(1)
-    c[2 * n + 1] = Fraction(-1)
+        b_ub.append(1)
+    c = [0] * nv
+    c[2 * n] = 1
+    c[2 * n + 1] = -1
     _status, value, z = lp.simplex_max(c, a_ub, b_ub)
     if value <= 0:
         raise ValueError("x is not an extreme point of T")
@@ -144,7 +146,8 @@ def translate_witness(t, f, x):
     hull_pts = sorted(t.points)
     for u in enumerate_psum(f):
         q = vadd(trans, u)
-        if not in_convex_hull(hull_pts, q):
+        # a point of T lies in conv T; the LP decides only the rest
+        if q not in t.points and not in_convex_hull(hull_pts, q):
             raise TheoremContradictionError(
                 "translate point %s escapes conv T" % (q,))
     return WitnessCertificate(f, t, tuple(x), tuple(a), tuple(p),

@@ -1,4 +1,5 @@
 import functools
+import hashlib
 from fractions import Fraction
 from itertools import product
 from math import ceil, comb, floor
@@ -12,8 +13,8 @@ from balgame.balance import (NotExpressibleError, UnsatisfiableError,
                              greedy_pairs, middle_layer, odd_signs,
                              orbit_decompose, pair_system_center,
                              partial_color, rotate, search_signs)
-from balgame.core import (canonical_family, enumerate_psum, smul, vadd,
-                          vneg, zero)
+from balgame.core import (SizeLimitError, canonical_family, enumerate_psum,
+                          smul, vadd, vneg, zero)
 from balgame.fixtures import TABLE_W, fixture_rows
 
 
@@ -31,6 +32,20 @@ def test_odd_signs():
         assert sa.signed_sum() == (c,) * n
     with pytest.raises(ValueError):
         odd_signs(4)
+
+
+def test_constructions_reject_n_above_limit():
+    assert balance.N_LIMIT == 21
+    for fn, n in ((balance_middle, 22), (balance_middle, 40),
+                  (chooser_translate, 22), (chooser_translate, 23),
+                  (odd_signs, 23)):
+        with pytest.raises(SizeLimitError, match="construction limit 21"):
+            fn(n)
+    # the parity checks still come first
+    with pytest.raises(ValueError, match="odd"):
+        odd_signs(22)
+    with pytest.raises(ValueError, match="even"):
+        balance_middle(23)
 
 
 def test_middle_layer():
@@ -164,6 +179,19 @@ def test_balance_middle_defects():
         assert defect == tuple(want), n
         assert sa.signed_sum() == tuple(want), n
         assert len(sa.signs) == comb(n - 1, n // 2)
+
+
+@pytest.mark.parametrize("n,digest", [
+    # sha256 of repr((signs, defect)) recorded with the Fraction kernel;
+    # both sizes go through the partial-coloring pipeline, so this pins
+    # every step of its walk
+    (14, "a69568f982f9f9832009497d9703168048ab152e033bb147fadbf35b1b017cbb"),
+    (16, "9ce9329c7935e2d87f65e165a6852c657f9ae19e92cb594416a1e0915c5cef7b"),
+])
+def test_balance_middle_pipeline_pinned(n, digest):
+    sa, defect = balance_middle_cached(n)
+    got = hashlib.sha256(repr((sa.signs, defect)).encode()).hexdigest()
+    assert got == digest
 
 
 def test_balance_middle_errors():

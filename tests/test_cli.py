@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 import balgame
-from balgame import fixtures
+from balgame import balance, cli, fixtures
 from balgame.cli import main
 from balgame.core import (canonical_family, enumerate_psum, format_family,
                           format_pointset)
@@ -105,6 +105,34 @@ def test_signs_verify_rejects_a_wrong_row(capsys, monkeypatch):
 def test_signs_requires_mode(capsys):
     code, _, _ = run(capsys, "signs")
     assert code == 2
+
+
+@pytest.mark.parametrize("n", ["0", "4", "-3"])
+def test_signs_odd_rejects_bad_n(capsys, n):
+    # --odd 0 used to fall through to the middle-layer branch
+    code, out, err = run(capsys, "signs", "--odd", n)
+    assert code == 2
+    assert out == ""
+    assert err == "error: n must be odd and >= 3, got %s\n" % n
+
+
+@pytest.mark.parametrize("argv", [
+    ("signs", "--middle", "22"), ("signs", "--odd", "23"),
+    ("simulate", "--n", "22"), ("play", "--n", "22"),
+    ("play", "--n", "24", "--human", "chooser"),
+])
+def test_construction_size_limit_is_usage_error(capsys, monkeypatch, argv):
+    # the limit is checked before a family of 2^(n-1) members is built
+    def no_family(n):
+        raise AssertionError("canonical_family(%d) was built" % n)
+
+    monkeypatch.setattr(cli, "canonical_family", no_family)
+    monkeypatch.setattr(balance, "canonical_family", no_family)
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err == "error: n = %s is above the construction limit 21\n" \
+        % argv[2]
 
 
 def test_coloring(capsys, tmp_path):

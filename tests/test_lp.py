@@ -4,7 +4,7 @@ from itertools import combinations
 
 import pytest
 
-from balgame import lp
+from balgame import balance, lp
 
 
 def solve_exact(rows, rhs):
@@ -117,3 +117,183 @@ def test_simplex_max_unbounded():
 def test_simplex_max_rejects_negative_rhs():
     with pytest.raises(ValueError):
         lp.simplex_max([1], [[-1]], [-1])
+
+
+# --- the integer tableau against a Fraction tableau ----------------------
+#
+# The reference below is the Gauss-Jordan simplex over Fractions that the
+# integer tableau replaces.  Bland's rule and the ratio test must make the
+# same choices on both, so every answer and every lambda must agree.
+
+def ref_pivot(tab, basis, r, c):
+    pv = tab[r][c]
+    tab[r] = [x / pv for x in tab[r]]
+    for i in range(len(tab)):
+        if i != r and tab[i][c] != 0:
+            fac = tab[i][c]
+            tab[i] = [x - fac * y for x, y in zip(tab[i], tab[r])]
+    basis[r] = c
+
+
+def ref_run(tab, basis):
+    m = len(tab) - 1
+    ncols = len(tab[-1]) - 1
+    while True:
+        obj = tab[-1]
+        enter = next((j for j in range(ncols) if obj[j] < 0), None)
+        if enter is None:
+            return lp.OPTIMAL
+        best = None
+        for i in range(m):
+            if tab[i][enter] > 0:
+                ratio = tab[i][-1] / tab[i][enter]
+                if best is None or ratio < best[0] or \
+                        (ratio == best[0] and basis[i] < basis[best[1]]):
+                    best = (ratio, i)
+        if best is None:
+            return lp.UNBOUNDED
+        ref_pivot(tab, basis, best[1], enter)
+
+
+def ref_simplex_max(c, a_ub, b_ub):
+    m = len(a_ub)
+    n = len(c)
+    tab = []
+    for i in range(m):
+        row = [Fraction(x) for x in a_ub[i]] + [Fraction(0)] * m
+        row[n + i] = Fraction(1)
+        tab.append(row + [Fraction(b_ub[i])])
+    basis = list(range(n, n + m))
+    tab.append([-Fraction(x) for x in c] + [Fraction(0)] * (m + 1))
+    if ref_run(tab, basis) == lp.UNBOUNDED:
+        return lp.UNBOUNDED, None, None
+    z = [Fraction(0)] * n
+    for i in range(m):
+        if basis[i] < n:
+            z[basis[i]] = tab[i][-1]
+    return lp.OPTIMAL, sum(Fraction(cj) * zj for cj, zj in zip(c, z)), z
+
+
+def ref_feasible_combination(points, x):
+    m = len(points)
+    rows = [[Fraction(1)] * m + [Fraction(1)]]
+    for i in range(len(x)):
+        rows.append([Fraction(p[i]) for p in points] + [Fraction(x[i])])
+    rows = [[-a for a in row] if row[-1] < 0 else row for row in rows]
+    basis = [m + i for i in range(len(rows))]
+    tab = rows + [[-sum(col) for col in zip(*rows)]]
+    ref_run(tab, basis)
+    if tab[-1][-1] != 0:
+        return None
+    lam = [Fraction(0)] * m
+    for i, j in enumerate(basis):
+        if j < m:
+            lam[j] = tab[i][-1]
+    return lam
+
+
+def random_entry(rng, lo, hi):
+    """An int or, one time in three, a Fraction with a small denominator."""
+    if rng.random() < 1 / 3:
+        return Fraction(rng.randint(lo * 3, hi * 3), rng.randint(2, 5))
+    return rng.randint(lo, hi)
+
+
+def test_simplex_max_matches_fraction_tableau():
+    rng = random.Random(7001)
+    statuses = set()
+    fractional = 0
+    for _trial in range(300):
+        n, m = rng.randint(1, 5), rng.randint(1, 6)
+        c = [random_entry(rng, -4, 4) for _ in range(n)]
+        a_ub = [[random_entry(rng, -3, 4) for _ in range(n)]
+                for _ in range(m)]
+        # zeros in b_ub give degenerate pivots, where ties are broken
+        b_ub = [abs(random_entry(rng, 0, 5)) for _ in range(m)]
+        got = lp.simplex_max(c, a_ub, b_ub)
+        assert got == ref_simplex_max(c, a_ub, b_ub), (c, a_ub, b_ub)
+        statuses.add(got[0])
+        if got[0] == lp.OPTIMAL and \
+                any(zj.denominator != 1 for zj in got[2]):
+            fractional += 1
+    assert statuses == {lp.OPTIMAL, lp.UNBOUNDED}
+    assert fractional > 30
+
+
+def test_feasible_combination_matches_fraction_tableau():
+    rng = random.Random(7002)
+    inside = 0
+    for trial in range(300):
+        d = 1 + trial % 4
+        points = [tuple(random_entry(rng, -3, 3) for _ in range(d))
+                  for _ in range(rng.randint(1, 7))]
+        a, b = rng.choice(points), rng.choice(points)
+        for q in (tuple(random_entry(rng, -3, 3) for _ in range(d)),
+                  tuple(Fraction(x + 2 * y, 3) for x, y in zip(a, b)),
+                  a):
+            lam = lp.feasible_combination(points, q)
+            assert lam == ref_feasible_combination(points, q), (points, q)
+            if lam is not None:
+                assert_certificate(points, q, lam)
+                inside += 1
+    assert inside > 600
+
+
+def ref_kernel_vector(cols, n):
+    """Gauss-Jordan over Fractions with the same pivot columns; also
+    returns the rank and whether a row swap was needed."""
+    m = len(cols)
+    a = [[Fraction(cols[j][i]) for j in range(m)] for i in range(n)]
+    basis = []
+    swapped = False
+    for col in range(m):
+        row = len(basis)
+        sel = next((r for r in range(row, n) if a[r][col] != 0), None)
+        if sel is None:
+            continue
+        swapped |= sel != row
+        a[row], a[sel] = a[sel], a[row]
+        basis.append(col)
+        ref_pivot(a, basis, row, col)
+        if len(basis) == n:
+            break
+    free = next(c for c in range(m) if c not in basis)
+    k = [Fraction(0)] * m
+    k[free] = Fraction(1)
+    for r, c in enumerate(basis):
+        k[c] = -a[r][free]
+    return k, len(basis), swapped
+
+
+def test_kernel_vector_matches_fraction_elimination(monkeypatch):
+    pivots = []
+
+    def recording_pivot(tab, basis, r, c, d):
+        pivots.append(tab[r][c])
+        return lp_pivot(tab, basis, r, c, d)
+
+    lp_pivot = lp.pivot
+    monkeypatch.setattr(lp, "pivot", recording_pivot)
+    rng = random.Random(7003)
+    deficient = swapped = negative = 0
+    for trial in range(300):
+        n = 1 + trial % 7
+        cols = [tuple(rng.choice((-1, 1)) for _ in range(n))
+                for _ in range(n + 1)]
+        if trial % 3 == 0:
+            # repeated and negated columns drop the rank
+            for j in range(1, n + 1):
+                if rng.random() < 0.5:
+                    src = cols[rng.randrange(j)]
+                    cols[j] = src if rng.random() < 0.5 else \
+                        tuple(-a for a in src)
+        del pivots[:]
+        k = balance._kernel_vector(cols, n)
+        ref, rank, swap = ref_kernel_vector(cols, n)
+        assert k == ref, cols
+        for i in range(n):
+            assert sum(kj * col[i] for kj, col in zip(k, cols)) == 0
+        deficient += rank < n
+        swapped += swap
+        negative += any(p < 0 for p in pivots)
+    assert min(deficient, swapped, negative) > 30

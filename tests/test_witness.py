@@ -2,14 +2,17 @@ import hashlib
 import json
 import random
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
 from balgame.core import (PointSet, VectorFamily, canonical_family,
                           enumerate_psum, vadd, vdot, vsub)
+from balgame import lp, witness
 from balgame.game import is_vclosed
 from balgame.witness import (T_SIZE_LIMIT, NotApplicableError,
-                             NotVClosedError, exposed_normal, extreme_points,
+                             NotVClosedError, TheoremContradictionError,
+                             exposed_normal, extreme_points,
                              in_convex_hull, random_vclosed,
                              translate_witness)
 
@@ -139,6 +142,86 @@ def test_replay_detects_tampering():
     cert = translate_witness(t, f, extreme_points(t)[0])
     cert.translate = vadd(cert.translate, (1, 0))
     assert not cert.replay()
+
+
+def count_hull_calls(monkeypatch):
+    """Record the query point of every witness.in_convex_hull call."""
+    calls = []
+    orig = witness.in_convex_hull
+
+    def counting(points, q):
+        calls.append(tuple(q))
+        return orig(points, q)
+
+    monkeypatch.setattr(witness, "in_convex_hull", counting)
+    return calls
+
+
+def test_translate_witness_answers_points_of_t_without_lp(monkeypatch):
+    # on a union of translates of P(V) every translate point is in T
+    calls = count_hull_calls(monkeypatch)
+    certs = 0
+    for f, seeds in ((canonical_family(2), range(4)), (SUB3, range(3)),
+                     (canonical_family(3), range(2))):
+        for seed in seeds:
+            t = random_vclosed(f, seed)
+            for x in extreme_points(t):
+                cert = translate_witness(t, f, x)
+                assert cert.verified
+                certs += 1
+    assert certs > 50
+    assert calls == []
+
+
+def test_translate_witness_lp_runs_for_points_outside_t(monkeypatch):
+    # a shifted vertex moves the translate off T: the LP then decides
+    # exactly the translate points outside T, and one outside conv T
+    # still contradicts the theorem
+    calls = count_hull_calls(monkeypatch)
+    orig_vertex = witness.zonotope_vertex
+    outcomes = set()
+    f2 = canonical_family(2)
+    base = enumerate_psum(f2).points
+    pair = PointSet(2, base | {vadd((2, 0), p) for p in base})
+    for f, t in ((f2, pair), (SUB3, random_vclosed(SUB3, 1))):
+        hull_pts = sorted(t.points)
+        for x in extreme_points(t):
+            for shift in product(range(-2, 3), repeat=f.dim):
+                monkeypatch.setattr(
+                    witness, "zonotope_vertex",
+                    lambda f, a, s=shift: vadd(orig_vertex(f, a), s))
+                p = vadd(orig_vertex(f, exposed_normal(t, x)), shift)
+                outside = {vadd(vsub(x, p), u) for u in enumerate_psum(f)
+                           if vadd(vsub(x, p), u) not in t.points}
+                del calls[:]
+                try:
+                    translate_witness(t, f, x)
+                    escaped = False
+                except TheoremContradictionError:
+                    escaped = True
+                # no point of T goes to the LP, and no point twice
+                assert len(set(calls)) == len(calls)
+                assert set(calls) <= outside
+                inside = [lp.feasible_combination(hull_pts, q) is not None
+                          for q in calls]
+                if escaped:
+                    assert inside == [True] * (len(calls) - 1) + [False]
+                    outcomes.add("escaped")
+                else:
+                    assert set(calls) == outside and all(inside)
+                    outcomes.add("inside" if outside else "in T")
+    assert outcomes == {"escaped", "inside", "in T"}
+
+
+def test_replay_runs_its_own_lp(monkeypatch):
+    f = canonical_family(3)
+    t = random_vclosed(f, 0)
+    cert = translate_witness(t, f, extreme_points(t)[0])
+    calls = count_hull_calls(monkeypatch)
+    assert cert.replay()
+    psum = enumerate_psum(f)
+    assert len(calls) == len(psum)
+    assert set(calls) == {vadd(cert.translate, u) for u in psum}
 
 
 def test_random_vclosed_properties():
