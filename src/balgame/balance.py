@@ -37,7 +37,7 @@ class UnsatisfiableError(RuntimeError):
 
 # The largest n the constructions finish in under a minute (2-vCPU Xeon,
 # Python 3.11): balance_middle(20) takes about 34 s and
-# chooser_translate(21) about 40 s, while n = 22 has a middle layer of
+# chooser_translate(21) about 8 s, while n = 22 has a middle layer of
 # C(21, 11) = 352716 vectors, about four times that of n = 20.
 N_LIMIT = 21
 
@@ -506,10 +506,10 @@ def _balance_small(n):
     return eps, defect
 
 
-def _balance_pipeline(n, R, defect):
-    """Greedy pairs + partial coloring + pair expression (large n)."""
-    ps = greedy_pairs(n, R)
-    v0 = middle_layer(n)
+def _balance_pipeline(v0, R, defect):
+    """Greedy pairs + partial coloring + pair expression (large n), over
+    the middle layer v0."""
+    ps = greedy_pairs(v0.dim, R)
     class_of = {}
     for u in ps.vectors():
         rep = u if u[0] == 1 else vneg(u)
@@ -536,23 +536,20 @@ def balance_middle(n):
     if n % 2 != 0 or n < 2:
         raise ValueError("n must be even and >= 2, got %s" % n)
     check_size(n)
+    f = middle_layer(n)
     if n == 2:
         # single middle-layer vector (1,-1); sign -1 keeps the translate
         # shift within the w_i <= 1 regime
-        f = middle_layer(2)
-        sa = SignAssignment(f, (-1,))
-        return sa, (-1, 1)
+        return SignAssignment(f, (-1,)), (-1, 1)
     pow2 = is_power_of_two(n)
     if (pow2 and n < 16) or (not pow2 and n < 14):
         eps, defect = _balance_small(n)
     elif pow2:
         wprime = tuple(-3 if (i + 1) % 4 == 0 else 1 for i in range(n))
-        eps, defect = _balance_pipeline(n, n // 2 + 2, vneg(wprime))
+        eps, defect = _balance_pipeline(f, n // 2 + 2, vneg(wprime))
     else:
-        eps, defect = _balance_pipeline(n, n // 2, zero(n))
-    f = middle_layer(n)
-    signs = tuple(eps[v] for v in f)
-    sa = SignAssignment(f, signs)
+        eps, defect = _balance_pipeline(f, n // 2, zero(n))
+    sa = SignAssignment(f, tuple(eps[v] for v in f))
     if sa.signed_sum() != tuple(defect):
         raise ConstructionError("middle-layer defect mismatch for n=%d" % n)
     return sa, tuple(defect)
@@ -569,6 +566,11 @@ def chooser_translate(n):
     """The translate t and subset S0 with 0 = t + sum(S0), and the
     critical M for which t + P(V) fits in the region.
 
+    S0 holds the members with positive coordinate sum, and for even n
+    the middle-layer members `balance_middle` signs +1.  For odd n the
+    origin identity implies the majority signed sum `odd_signs` checks:
+    sum eps_v v = 2 sum(S0) - 2g = c * 1.
+
     Returns (t, s0, M) with t a tuple of exact Fractions.
     """
     if n < 2:
@@ -576,36 +578,21 @@ def chooser_translate(n):
     check_size(n)
     f = canonical_family(n)
     m = critical_M(n).m_crit
-    g = center(f)
-    if n % 2 == 1:
-        c = comb(n - 1, (n - 1) // 2)
-        sa = odd_signs(n)
-        eps = dict(zip(f.members, sa.signs))
-        shift = zero(n)
-    else:
-        c = comb(n - 1, n // 2)
+    mid = {}
+    shift = zero(n)
+    if n % 2 == 0:
         mid_sa, defect = balance_middle_cached(n)
-        eps = {}
-        for v in f:
-            if sum(v) != 0:
-                eps[v] = 1 if sum(v) > 0 else -1
-        for v, s in zip(mid_sa.family.members, mid_sa.signs):
-            eps[v] = s
+        mid = dict(zip(mid_sa.family.members, mid_sa.signs))
         if is_power_of_two(n):
-            wprime = vneg(defect)  # has w'_i <= 1
-            if any(a > 1 for a in wprime):
+            shift = vneg(defect)  # w' has w'_i <= 1
+            if any(a > 1 for a in shift):
                 raise ConstructionError("defect pattern breaks the shift")
-            shift = wprime
-        else:
-            shift = zero(n)
-    half_c = Fraction(c, 2)
+    # comb(n-1, (n-1)//2) == comb(n-1, n//2) for odd n
+    half_c = Fraction(comb(n - 1, n // 2), 2)
     t = tuple(-gi - half_c + Fraction(si, 2)
-              for gi, si in zip(g, shift))
-    s0 = tuple(v for v in f if eps[v] == 1)
-    pos = t
-    for v in s0:
-        pos = vadd(pos, v)
-    if tuple(pos) != tuple(Fraction(0) for _ in range(n)):
+              for gi, si in zip(center(f), shift))
+    s0 = tuple(v for v in f if sum(v) > 0 or mid.get(v) == 1)
+    if vadd(t, map(sum, zip(*s0))) != zero(n):
         raise ConstructionError("origin identity failed for n=%d" % n)
     # coordinate bound: max over t+P(V) of coordinate i must be <= M
     for i in range(n):

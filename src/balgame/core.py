@@ -6,12 +6,13 @@ an ordered, duplicate-free list of pairwise non-parallel vectors; a
 PointSet is a finite set of lattice points of a common dimension.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import product
 
 MAX_DIM = 24  # widths go up to 2^n; reject anything wider than desk scale
+PSUM_CAP = 10 ** 7  # most subset sums enumerate_psum builds
 
 
 class DimensionError(ValueError):
@@ -119,12 +120,6 @@ class VectorFamily:
 class PointSet:
     dim: int
     points: frozenset
-    meta: dict = field(default_factory=dict, compare=False)
-
-    def __post_init__(self):
-        for p in self.points:
-            if len(p) != self.dim:
-                raise DimensionError("point %s has wrong dimension" % (p,))
 
     def __len__(self):
         return len(self.points)
@@ -187,16 +182,15 @@ def center(f):
     return tuple(Fraction(a, 2) for a in family_sum(f))
 
 
-def enumerate_psum(f, cap=10**7):
+def enumerate_psum(f):
     """All distinct subset sums of the family, by set doubling."""
     pts = {zero(f.dim)}
     for k, v in enumerate(f):
         pts |= {vadd(p, v) for p in pts}
-        if len(pts) > cap:
+        if len(pts) > PSUM_CAP:
             raise SizeLimitError(
-                "subset-sum set exceeded cap %d at member %d" % (cap, k))
-    return PointSet(f.dim, frozenset(pts),
-                    meta={"family": f.label, "kind": "psum"})
+                "subset-sum set exceeded cap %d at member %d" % (PSUM_CAP, k))
+    return PointSet(f.dim, frozenset(pts))
 
 
 def zonotope_vertex(f, a):
@@ -243,7 +237,7 @@ def vector_to_bits(v):
     return "".join("1" if a == 1 else "0" for a in v)
 
 
-def parse_family(text, label="", strict=True):
+def parse_family(text, label=""):
     lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
     head = lines[0].split() if lines else []
     if len(head) != 2 or head[0] != "dim" or not head[1].isdigit():
@@ -259,7 +253,7 @@ def parse_family(text, label="", strict=True):
             raise DimensionError("vector %s does not have dimension %d"
                                  % (v, n))
         members.append(v)
-    return VectorFamily(n, tuple(members), label=label, strict=strict)
+    return VectorFamily(n, tuple(members), label=label)
 
 
 def format_family(f):
@@ -278,6 +272,9 @@ def parse_pointset(text, n=None):
         p = tuple(int(x) for x in ln.split(","))
         if n is None:
             n = len(p)
+        if len(p) != n:
+            raise DimensionError("point %s does not have dimension %d"
+                                 % (p, n))
         pts.add(p)
     if n is None:
         raise ValueError("empty point set and no dimension given")

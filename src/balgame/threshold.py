@@ -104,7 +104,7 @@ def critical_M(n):
                "raw_bound": raw})
 
 
-def cross_validate(n, margin=2, depth=None):
+def cross_validate(n, margin=2):
     """Sweep M around the closed-form threshold and check the
     brute-force game verdict flips exactly there; margin >= 1 puts
     both M_crit - 1 and M_crit in the sweep."""
@@ -125,7 +125,7 @@ def cross_validate(n, margin=2, depth=None):
             rows.append((m, "pusher"))
             continue
         region = game.GameRegion(n, (m,) * n)
-        res = game.verdict(region, f, depth=depth)
+        res = game.verdict(region, f)
         rows.append((m, res.winner))
     ok = all((winner == "chooser") == (m >= m_crit) for m, winner in rows)
     return {"n": n, "M_crit": m_crit, "sweep": rows, "flip_exact": ok}

@@ -154,7 +154,7 @@ def translate_witness(t, f, x):
                               tuple(trans), True)
 
 
-def random_vclosed(f, seed, budget=2000):
+def random_vclosed(f, seed):
     """Seeded test instance: a union of random translates of P(V).
 
     P(V) is V-closed (for z = sum S, z - v is in P(V) when v is in S and
@@ -167,10 +167,10 @@ def random_vclosed(f, seed, budget=2000):
     for _ in range(k):
         off = tuple(rng.randint(-4, 4) for _ in range(f.dim))
         pts.update(vadd(off, p) for p in base)
-    if len(pts) > budget:
-        raise ValueError("instance larger than budget")
+    if len(pts) > 2000:
+        raise ValueError("instance larger than 2000 points")
     ok, viol = is_vclosed(pts, f)
     if not ok:
         raise AssertionError("generator produced a non-V-closed set: %s"
                              % (viol,))
-    return PointSet(f.dim, frozenset(pts), meta={"seed": seed})
+    return PointSet(f.dim, frozenset(pts))

@@ -252,3 +252,31 @@ def test_chooser_translate_tight():
         peak = max(t[i] + sum(v[i] for v in f if v[i] > 0)
                    for i in range(n))
         assert m - 1 < peak <= m, n
+
+
+# sha256 of repr(chooser_translate(n)), recorded when S0 was still read
+# off a sign per member (majority signs from odd_signs for odd n)
+PINNED_TRANSLATES = [
+    (2, "679743fdfe83618427be1b257e1a850a71ea3d9e653922e6fcf34f23cbe07c4a"),
+    (3, "2c83f31ade1afae269a745d96654661f551c49d4d6b58233297c3dff552a76d8"),
+    (4, "fb8e2204c09e16a28d0baadbc3f739ec7bf3b3f04a584d8e85bd87060e6ce7a8"),
+    (5, "68707a2043325fa68b2a478606ceef7f21338b28083c8c6e516d31b9b0b1f363"),
+    (6, "0987eb54b5341a20fcbdf6dc10670dcfc921c80318f80503a8e703336ab2a56b"),
+    (7, "ed6bfdecd69fff0a0dfd0a0a657b878793b9f704b45e9d49905cf8c7f4291978"),
+    (8, "8884d234861eb9199fa0c50bcb1843d49df2389e4753f0b90877689906ebc246"),
+    (9, "81d93d61aae0c344a35c9aefeca66ca168020d1ba671ede5d7bf3435c2d1d522"),
+    (10, "b0388fd760273a1f05ed859862fc6d372f3744735df763e7c2a93be2f71471f2"),
+    (11, "86ecb8fc09e133dce3fa31c76c042d30019014273197d427ac7d3201b4f9d15e"),
+    (12, "d019f7d622e44d0eeeb6d9da14e362446a6d72a5a2111e1c7e3d354953dd0b7d"),
+    (13, "55c4d51de804b0f14e7f931f0770a35741e72eeea5df43c9558fe843cc4a8393"),
+    (14, "9723a97498a22711534acb2d070bf9c0896e1219bad5b96ac70ddde7b5efc452"),
+    (15, "917e6ee3667f5283dc037386ea2ab5086fee720a5acf4a9b7b8c4084be65c3d8"),
+    (17, "cce4204fc7ce648940790912220f7a09c6cdb40f1b322cd21e3d8b2b756e92c8"),
+]
+
+
+@pytest.mark.parametrize("n,digest", PINNED_TRANSLATES,
+                         ids=["n%d" % n for n, _ in PINNED_TRANSLATES])
+def test_chooser_translate_pinned(n, digest):
+    got = hashlib.sha256(repr(chooser_translate(n)).encode()).hexdigest()
+    assert got == digest

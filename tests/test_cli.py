@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 import balgame
-from balgame import balance, cli, fixtures
+from balgame import balance, cli, fixtures, game
 from balgame.cli import main
 from balgame.core import (canonical_family, enumerate_psum, format_family,
                           format_pointset)
@@ -57,6 +57,22 @@ def test_threshold_verify(capsys):
     code, out, _ = run(capsys, "threshold", "--n", "3", "--verify", "--json")
     assert code == 0
     assert json.loads(out)[0]["cross_validated"]
+
+
+def test_threshold_verify_refuses_n_above_four(capsys):
+    code, out, err = run(capsys, "threshold", "--n", "7", "--verify")
+    assert code == 2
+    assert out == ""
+    assert err.count("\n") == 1
+    assert err.startswith("error: cross_validate covers n <= 4")
+
+
+def test_threshold_table_verifies_small_n(capsys):
+    code, out, _ = run(capsys, "threshold", "--verify", "--json")
+    assert code == 0
+    rows = json.loads(out)
+    assert [r.get("cross_validated", False) for r in rows] == \
+        [r["n"] <= 4 for r in rows]
 
 
 def test_signs_odd(capsys):
@@ -161,6 +177,18 @@ def test_witness(capsys, tmp_path):
     assert all(w.get("verified") or "skipped" in w for w in doc["witnesses"])
 
 
+def test_witness_point_of_wrong_dimension(capsys, tmp_path):
+    fam_path = tmp_path / "fam.txt"
+    fam_path.write_text(format_family(canonical_family(2)))
+    set_path = tmp_path / "set.txt"
+    set_path.write_text("0,0\n1,1,1\n")
+    code, out, err = run(capsys, "witness", "--family", str(fam_path),
+                         "--set", str(set_path))
+    assert code == 2
+    assert out == ""
+    assert err == "error: point (1, 1, 1) does not have dimension 2\n"
+
+
 def test_maximal(capsys, tmp_path):
     fam_path = tmp_path / "fam.txt"
     fam_path.write_text(format_family(canonical_family(2)))
@@ -225,6 +253,25 @@ def test_simulate_survives(capsys):
     doc = json.loads(out)
     assert doc["outcome"] == "survived"
     assert doc["M"] == 3
+
+
+def test_simulate_rank_pusher_window_too_large(capsys):
+    # the n = 5 window has 35^5 cells, far above the volume limit
+    code, out, err = run(capsys, "simulate", "--n", "5", "--pusher", "rank")
+    assert code == 2
+    assert out == ""
+    assert err == ("error: window volume %d exceeds limit %d\n"
+                   % (35 ** 5, game.WINDOW_VOLUME_LIMIT))
+
+
+def test_simulate_rank_pusher_large_M(capsys):
+    # M = 11 is far above M_crit(3) = 1: Chooser wins, so there is no
+    # rank Pusher to play
+    code, out, err = run(capsys, "simulate", "--n", "3", "--pusher", "rank",
+                         "--M", "11")
+    assert code == 2
+    assert out == ""
+    assert err == "rank pusher unavailable: Chooser wins this region\n"
 
 
 @pytest.mark.parametrize("cmd", ["simulate", "play"])

@@ -3,6 +3,7 @@ from itertools import combinations
 
 import pytest
 
+from balgame import core
 from balgame.core import (DegenerateNormalError, DimensionError, PointSet,
                           SignAssignment, SizeLimitError, VectorFamily,
                           bits_to_vector, canonical_family, center,
@@ -68,9 +69,10 @@ def test_enumerate_psum_matches_bruteforce():
     assert len(got) == 15
 
 
-def test_enumerate_psum_cap():
+def test_enumerate_psum_cap(monkeypatch):
+    monkeypatch.setattr(core, "PSUM_CAP", 10)
     with pytest.raises(SizeLimitError):
-        enumerate_psum(canonical_family(5), cap=10)
+        enumerate_psum(canonical_family(5))
 
 
 def test_zonotope_vertex():

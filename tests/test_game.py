@@ -115,6 +115,18 @@ def test_verdict_flip_n3():
     assert verdict(GameRegion(3, (0, 0, 0)), f).winner == "pusher"
 
 
+@pytest.mark.parametrize("n,ms", [(2, range(0, 12)), (3, range(0, 16)),
+                                  (4, (16,))])
+def test_verdict_large_M_matches_critical_M(n, ms):
+    # a large M puts the region bound far above the origin; the window
+    # must still reach down to every translate of P(V) through it
+    f = canonical_family(n)
+    m_crit = critical_M(n).m_crit
+    for m in ms:
+        want = "chooser" if m >= m_crit else "pusher"
+        assert verdict(GameRegion(n, (m,) * n), f).winner == want, (n, m)
+
+
 def test_verdict_requires_origin():
     with pytest.raises(ValueError):
         verdict(GameRegion(2, (-1, -1)), canonical_family(2))
@@ -212,11 +224,11 @@ def test_transcript_consistency():
         assert z == z_after
 
 
-def test_volume_limit():
+def test_volume_limit(monkeypatch):
     f = canonical_family(2)
+    monkeypatch.setattr(game, "WINDOW_VOLUME_LIMIT", 100)
     with pytest.raises(game.SizeLimitError):
-        maximal_vclosed_subset(Window((-10, -10), (10, 10)), f,
-                               volume_limit=100)
+        maximal_vclosed_subset(Window((-10, -10), (10, 10)), f)
 
 
 def test_window_family_dimension_mismatch():

@@ -231,7 +231,6 @@ def test_random_vclosed_properties():
         ok, _ = is_vclosed(t, f)
         assert ok
         assert len(t) >= len(enumerate_psum(f))
-        assert t.meta["seed"] == seed
 
 
 def test_random_vclosed_reproducible():
