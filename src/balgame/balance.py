@@ -17,8 +17,8 @@ from math import comb
 
 from . import lp
 from .core import (SignAssignment, SizeLimitError, VectorFamily,
-                   canonical_family, center, lattice_member, smul, vadd, vneg,
-                   vsub, zero)
+                   canonical_family, canonical_members, center,
+                   lattice_member, smul, vadd, vneg, vsub, zero)
 from .threshold import critical_M, is_power_of_two
 
 
@@ -284,11 +284,11 @@ def greedy_pairs(n, R):
             else:
                 raise ConstructionError(
                     "greedy pair search exhausted at (%d,%d)" % (i, j))
-    w = None
-    for v in middle_layer(n):
-        if v not in chosen and vneg(v) not in chosen:
-            w = v
-            break
+    # the first free middle-layer vector in family order; the walk stops
+    # there instead of building the whole middle layer
+    w = next((v for v in canonical_members(n)
+              if sum(v) == 0 and v not in chosen and vneg(v) not in chosen),
+             None)
     if w is None:
         raise ConstructionError("no free vector left for w")
     ps = PairSystem(n, R, pairs, w)

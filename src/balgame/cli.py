@@ -145,14 +145,24 @@ def cmd_maximal(args):
     return 0
 
 
-def cmd_simulate(args):
+def _game_setup(args):
+    """Check the options `simulate` and `play` share, before any family
+    is built; return the family, M and the region."""
     n = args.n
     balance.check_size(n)
     if args.rounds < 0:
         raise ValueError("--rounds must be >= 0, got %d" % args.rounds)
+    if args.M is not None and args.M < 0:
+        raise ValueError("region must contain the origin: --M must be "
+                         ">= 0, got %d" % args.M)
     f = canonical_family(n)
     m = args.M if args.M is not None else threshold.critical_M(n).m_crit
-    region = game.GameRegion(n, (m,) * n)
+    return f, m, game.GameRegion(n, (m,) * n)
+
+
+def cmd_simulate(args):
+    n = args.n
+    f, m, region = _game_setup(args)
     t, s0, _m = balance.chooser_translate(n)
     chooser = game.ChooserEngine(f, t, s0)
     if args.pusher == "random":
@@ -197,12 +207,7 @@ def _prompt_offer(z, f, region):
 
 def cmd_play(args):
     n = args.n
-    balance.check_size(n)
-    if args.rounds < 0:
-        raise ValueError("--rounds must be >= 0, got %d" % args.rounds)
-    f = canonical_family(n)
-    m = args.M if args.M is not None else threshold.critical_M(n).m_crit
-    region = game.GameRegion(n, (m,) * n)
+    f, m, region = _game_setup(args)
     print("balancing game: n=%d, M=%d, family of %d vectors" % (n, m, len(f)))
     for i, v in enumerate(f.members):
         print("  [%d] %s" % (i, v))
@@ -213,7 +218,11 @@ def cmd_play(args):
         t, s0, _m = balance.chooser_translate(n)
         chooser = game.ChooserEngine(f, t, s0)
         pusher = lambda z: _prompt_offer(z, f, region)  # noqa: E731
-    tr = game.simulate(region, f, chooser, pusher, args.rounds)
+    try:
+        tr = game.simulate(region, f, chooser, pusher, args.rounds)
+    except EOFError:
+        print("error: input ended before the game did", file=sys.stderr)
+        return 2
     print("outcome: %s after %d rounds, final position %s"
           % (tr.outcome, len(tr.rounds), tr.final))
     return 0

@@ -10,6 +10,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import product
+from operator import add, mul, neg, sub
 
 MAX_DIM = 24  # widths go up to 2^n; reject anything wider than desk scale
 PSUM_CAP = 10 ** 7  # most subset sums enumerate_psum builds
@@ -30,15 +31,15 @@ class DegenerateNormalError(ValueError):
 
 
 def vadd(u, v):
-    return tuple(a + b for a, b in zip(u, v))
+    return tuple(map(add, u, v))
 
 
 def vsub(u, v):
-    return tuple(a - b for a, b in zip(u, v))
+    return tuple(map(sub, u, v))
 
 
 def vneg(u):
-    return tuple(-a for a in u)
+    return tuple(map(neg, u))
 
 
 def smul(s, u):
@@ -46,7 +47,7 @@ def smul(s, u):
 
 
 def vdot(u, v):
-    return sum(a * b for a, b in zip(u, v))
+    return sum(map(mul, u, v))
 
 
 def zero(n):
@@ -105,11 +106,12 @@ class VectorFamily:
         return iter(self.members)
 
     def __contains__(self, v):
-        return v in self._member_set
+        return v in self.member_set
 
     @cached_property
-    def _member_set(self):
-        # built on first use; the frozen dataclass only blocks setattr
+    def member_set(self):
+        """The members as a frozenset, built on first use (the frozen
+        dataclass only blocks setattr)."""
         return frozenset(self.members)
 
     def index(self, v):
@@ -155,6 +157,12 @@ class SignAssignment:
         return total
 
 
+def canonical_members(n):
+    """The members of canonical_family(n), lazily and in family order;
+    n is not checked."""
+    return ((1,) + rest for rest in product((1, -1), repeat=n - 1))
+
+
 def canonical_family(n):
     """All 2^(n-1) vectors with v_1 = +1 and the rest in {-1,+1}.
 
@@ -166,8 +174,8 @@ def canonical_family(n):
     if n > MAX_DIM:
         raise DimensionError("dimension %d exceeds supported range %d"
                              % (n, MAX_DIM))
-    members = tuple((1,) + rest for rest in product((1, -1), repeat=n - 1))
-    return VectorFamily(n, members, label="canonical(%d)" % n)
+    return VectorFamily(n, tuple(canonical_members(n)),
+                        label="canonical(%d)" % n)
 
 
 def family_sum(f):

@@ -9,6 +9,10 @@ Chooser can win inside the window, and deletion rounds give Pusher a
 rank-decreasing strategy.  The kernel turns its bitsets back into points
 one window row (a line of cells along the innermost coordinate) at a
 time.
+
+`simulate` plays the game itself: each round asks Pusher for a member,
+asks Chooser for a sign and steps by one `vadd` or `vsub`, so a round
+builds exactly one tuple, the new position, and runs no generator.
 """
 
 import heapq
@@ -16,6 +20,7 @@ import random as _random
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import product
+from operator import le
 
 from .core import (PointSet, SizeLimitError, family_width, vadd, vsub,
                    zero)
@@ -41,7 +46,7 @@ class GameRegion:
     upper_bounds: tuple  # x_i <= upper_bounds[i]
 
     def contains(self, z):
-        return all(a <= m for a, m in zip(z, self.upper_bounds))
+        return all(map(le, z, self.upper_bounds))
 
     def slack(self, z):
         return tuple(m - a for a, m in zip(z, self.upper_bounds))
@@ -67,7 +72,7 @@ class Window:
         return vol
 
     def contains(self, z):
-        return all(a <= c <= b for a, b, c in zip(self.lo, self.hi, z))
+        return all(map(le, self.lo, z)) and all(map(le, z, self.hi))
 
 
 @dataclass
@@ -246,18 +251,20 @@ class ChooserEngine:
     """Subset-state Chooser: the position is always t + sum(S).
 
     Offered v already in S -> answer -1 and drop it; otherwise answer
-    +1 and add it.  The position never leaves t + P(V); the initial
-    subset and every offered vector are still checked against the
-    family.
+    +1 and add it.  The position never leaves t + P(V).  The initial
+    subset is checked against the family once, by one set inclusion.
+    `respond` looks in S first: every member of S passed the family
+    check when it entered, so only a vector about to be added is looked
+    up in the family.
     """
 
     def __init__(self, family, t, s0):
         self.family = family
         self.t = tuple(Fraction(a) for a in t)
         self.subset = set(s0)
-        for v in self.subset:
-            if v not in family:
-                raise ValueError("subset member %s not in family" % (v,))
+        if not self.subset <= family.member_set:
+            stray = next(v for v in s0 if v not in family.member_set)
+            raise ValueError("subset member %s not in family" % (stray,))
 
     def position(self):
         z = self.t
@@ -266,11 +273,11 @@ class ChooserEngine:
         return tuple(z)
 
     def respond(self, v):
-        if v not in self.family:
-            raise ValueError("offered vector %s not in family" % (v,))
         if v in self.subset:
             self.subset.discard(v)
             return -1
+        if v not in self.family.member_set:
+            raise ValueError("offered vector %s not in family" % (v,))
         self.subset.add(v)
         return 1
 
@@ -308,13 +315,22 @@ def simulate(region, f, chooser, pusher, rounds):
 
     chooser: ChooserEngine or callable (v, z) -> eps.
     pusher: object with offer(z) -> v, or callable z -> v.
+
+    Each round checks z against the region, asks Pusher for v (None, or
+    WindowEscape, ends the game), asks Chooser for eps and steps to
+    z + v (eps = 1) or z - v (eps = -1); any other answer raises
+    ValueError.  That step is the one tuple the round builds, and it is
+    recorded as is.  `f` is not read: the chooser and the pusher carry
+    the family.
     """
     tr = Transcript(region, zero(region.dim))
     z = tr.initial
+    inside = region.contains
+    record = tr.rounds.append
     offer = pusher.offer if hasattr(pusher, "offer") else pusher
     respond = chooser.respond if hasattr(chooser, "respond") else None
     for _ in range(rounds):
-        if not region.contains(z):
+        if not inside(z):
             tr.outcome = "escaped"
             return tr
         try:
@@ -326,11 +342,13 @@ def simulate(region, f, chooser, pusher, rounds):
             tr.outcome = "escaped"
             return tr
         eps = respond(v) if respond else chooser(v, z)
-        if eps not in (-1, 1):
+        if eps == 1:
+            z = vadd(z, v)
+        elif eps == -1:
+            z = vsub(z, v)
+        else:
             raise ValueError("chooser must answer -1 or +1")
-        z = vadd(z, (eps * a for a in v))
-        z = tuple(z)
-        tr.rounds.append((v, eps, z))
-    if not region.contains(z):
+        record((v, eps, z))
+    if not inside(z):
         tr.outcome = "escaped"
     return tr

@@ -282,6 +282,38 @@ def test_negative_rounds_is_usage_error(capsys, cmd):
     assert err.count("\n") == 1 and err.startswith("error:")
 
 
+@pytest.mark.parametrize("argv", [
+    ("simulate", "--n", "3", "--M", "-1"),
+    ("simulate", "--n", "3", "--M", "-1", "--pusher", "rank"),
+    ("play", "--n", "3", "--M", "-1"),
+    ("play", "--n", "3", "--M", "-1", "--human", "chooser"),
+])
+def test_negative_M_is_usage_error(capsys, monkeypatch, argv):
+    # the region x <= M misses the origin; rejected before a family is
+    # built or a game is played
+    def no_family(n):
+        raise AssertionError("canonical_family(%d) was built" % n)
+
+    monkeypatch.setattr(cli, "canonical_family", no_family)
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err == ("error: region must contain the origin: --M must be "
+                   ">= 0, got -1\n")
+
+
+@pytest.mark.parametrize("human", ["pusher", "chooser"])
+def test_play_input_ends(capsys, monkeypatch, human):
+    def no_input(prompt=""):
+        raise EOFError
+
+    monkeypatch.setattr("builtins.input", no_input)
+    code, out, err = run(capsys, "play", "--n", "3", "--human", human)
+    assert code == 2
+    assert out.startswith("balancing game: n=3, M=1")
+    assert err == "error: input ended before the game did\n"
+
+
 def test_simulate_deterministic(capsys):
     _, out1, _ = run(capsys, "simulate", "--n", "3", "--rounds", "500",
                      "--seed", "9")

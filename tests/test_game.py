@@ -148,10 +148,20 @@ def test_chooser_engine_toggling():
     assert eng.subset == {v}
     assert eng.respond(v) == -1
     assert eng.subset == set()
-    with pytest.raises(ValueError):
-        eng.respond((5, 5))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="subset member"):
         ChooserEngine(f, (0, 0), [(1, 1), (-1, -1)])
+
+
+@pytest.mark.parametrize("s0", [(), ((1, 1),), ((1, 1), (1, -1))])
+def test_chooser_engine_rejects_non_member(s0):
+    # S is looked up first, so the family check must still run for a
+    # vector outside S, whatever S holds
+    f = canonical_family(2)
+    eng = ChooserEngine(f, (0, 0), s0)
+    for v in ((5, 5), (-1, -1), (1, 1, 1)):
+        with pytest.raises(ValueError, match="not in family"):
+            eng.respond(v)
+        assert eng.subset == set(s0)
 
 
 def test_chooser_engine_soundness():
@@ -203,6 +213,14 @@ def test_simulate_pusher_drives_out():
     for chooser in (lambda v, z: 1, lambda v, z: -1):
         tr = simulate(region, f, chooser, pu, 200)
         assert tr.outcome in ("escaped", "left_window")
+
+
+@pytest.mark.parametrize("eps", [0, 2, -2])
+def test_simulate_rejects_other_answers(eps):
+    f = canonical_family(2)
+    with pytest.raises(ValueError, match="-1 or \\+1"):
+        simulate(GameRegion(2, (1, 1)), f, lambda v, z: eps,
+                 RandomPusher(f), 5)
 
 
 def test_simulate_zero_rounds():
@@ -388,3 +406,77 @@ def test_verdict_output_pinned(n, dm, doc_digest, rank_digest):
     rank = repr(list(res.certificate.rank.items()))
     assert hashlib.sha256(doc.encode()).hexdigest() == doc_digest
     assert hashlib.sha256(rank.encode()).hexdigest() == rank_digest
+
+
+def transcript_digest(tr):
+    return hashlib.sha256((repr(tr.rounds) + tr.outcome).encode()).hexdigest()
+
+
+# sha256 of repr(tr.rounds) + tr.outcome, recorded with the per-round
+# generator loop: ChooserEngine on Chooser's translate against a seeded
+# RandomPusher at M_crit, (n, seed, rounds, digest)
+PINNED_CHOOSER_GAMES = [
+    (3, 1, 2000,
+     "2d71b990ef861988058aa20c2e7832954bcb6a9322140c22ef046e668d7a132f"),
+    (3, 2, 2000,
+     "7fc13419a87351214d7d7c5347bbc9b1f62eb04b739847c4e2953473c5e5530b"),
+    (4, 1, 2000,
+     "ae1806c93f1a7901c5b69739f0444dd8d4bbf8b56987ec0fd3e93597b2a22e11"),
+    (4, 2, 2000,
+     "00d4382cede41599ce7edc9cc0271cd4f5ee900a3c66769700752eeb6f558ba2"),
+    (8, 1, 1000,
+     "1f717309b90d49e8e57a35472452bf90070cf440d20c4cb36b84b097707f5043"),
+    (8, 2, 1000,
+     "0198dc37640fe3813f9c341f1c5d93a1aeb19022a21cacd3785fba586c2ede48"),
+    (12, 1, 500,
+     "9b54ef84d702dae407fb3bb17614165078c273f6dc49414d9631390e7d66e4be"),
+    (12, 2, 500,
+     "6b9707aac87aa5d0a11f7991e5ecbadf5d810d824b82631b6e4bc61a124914f9"),
+]
+
+# the rank Pusher at M_crit - 1 against a chooser answering +1, -1, or
+# +1 exactly when z + v stays in the region: (n, chooser, rounds
+# played, outcome, digest)
+PINNED_PUSHER_GAMES = [
+    (2, "+1", 1, "escaped",
+     "8aaf5a319b6c0d8cdd15c221218b84c9d6ead7815a18d6e8dfd1e4ed126bbdae"),
+    (2, "-1", 1, "escaped",
+     "4693eb832760ba3484e931b0e6669d869d9fc6089bee4c5ee324e648d4893cb4"),
+    (3, "+1", 1, "escaped",
+     "4e2846d281179a32fd4ec33904f0781ec608688652932e536f8799457ed520a0"),
+    (3, "-1", 1, "escaped",
+     "291bf75ee13ee675ca01c3279f39b03b48fc9978ee16c7278a93c75a1d389f7b"),
+    (4, "stay", 5, "escaped",
+     "53ac6e42d1ec7f616149156b06430f008a4ee6c09260bbf91b1d9db216310798"),
+]
+
+
+@pytest.mark.parametrize("n,seed,rounds,digest", PINNED_CHOOSER_GAMES,
+                         ids=["n%d-seed%d" % (n, seed)
+                              for n, seed, _, _ in PINNED_CHOOSER_GAMES])
+def test_chooser_game_pinned(n, seed, rounds, digest):
+    f = canonical_family(n)
+    t, s0, m = chooser_translate(n)
+    tr = simulate(GameRegion(n, (m,) * n), f, ChooserEngine(f, t, s0),
+                  RandomPusher(f, seed=seed), rounds)
+    assert tr.outcome == "survived" and len(tr.rounds) == rounds
+    assert transcript_digest(tr) == digest
+
+
+@pytest.mark.parametrize("n,answer,played,outcome,digest",
+                         PINNED_PUSHER_GAMES,
+                         ids=["n%d-%s" % (n, a)
+                              for n, a, _, _, _ in PINNED_PUSHER_GAMES])
+def test_pusher_game_pinned(n, answer, played, outcome, digest):
+    f = canonical_family(n)
+    m = critical_M(n).m_crit - 1
+    region = GameRegion(n, (m,) * n)
+    choosers = {
+        "+1": lambda v, z: 1,
+        "-1": lambda v, z: -1,
+        "stay": lambda v, z: 1 if region.contains(vadd(z, v)) else -1,
+    }
+    tr = simulate(region, f, choosers[answer],
+                  PusherEngine(verdict(region, f).certificate, region), 200)
+    assert (len(tr.rounds), tr.outcome) == (played, outcome)
+    assert transcript_digest(tr) == digest
