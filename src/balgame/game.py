@@ -7,8 +7,9 @@ subset.  One bitset kernel computes it for every cell of a finite
 window, where out-of-window counts as gone: the origin survives iff
 Chooser can win inside the window, and deletion rounds give Pusher a
 rank-decreasing strategy.  The kernel turns its bitsets back into points
-one window row (a line of cells along the innermost coordinate) at a
-time.
+without running Python per cell: each removed cell's round and member
+are one code kept in bit planes, `format` spreads the planes to one lane
+per cell, and `itertools.product` streams the cells against the lanes.
 
 `simulate` plays the game itself: each round asks Pusher for a member,
 asks Chooser for a sign and steps by one `vadd` or `vsub`, so a round
@@ -17,18 +18,29 @@ builds exactly one tuple, the new position, and runs no generator.
 
 import heapq
 import random as _random
+from array import array
+from collections import Counter, deque
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import product
-from operator import le
+from itertools import (accumulate, chain, compress, count, product,
+                       repeat)
+from operator import le, setitem
 
-from .core import (PointSet, SizeLimitError, family_width, vadd, vsub,
-                   zero)
+from .core import (DimensionError, PointSet, SizeLimitError, family_width,
+                   vadd, vsub, zero)
 
-# Kernel time and memory grow about linearly with the window: canonical(3)
-# took 1.2 s and 112 MB for 10^6 cells, 6.1 s and 398 MB for 3.9 * 10^6
-# (2-vCPU Xeon, Python 3.11).
+# Kernel memory grows about linearly with the window, and time with the
+# window times the rounds: a canonical(3) verdict cube took 0.3-0.4 s and
+# 113 MB for 10^6 cells, 1.6-2.8 s and 404 MB for 3.9 * 10^6 (79 rounds,
+# nearly all cells safe); a 2 x 1400 x 1400 canonical(3) box, every cell
+# removed in 700 rounds, took 6-10 s and 553 MB (2-vCPU Xeon, Python 3.11).
 WINDOW_VOLUME_LIMIT = 4 * 10 ** 6
+
+# lanes for per-cell removal codes of at most 8, 16 or 32 bits: the array
+# typecode, and the encoding that writes one binary digit per lane;
+# DIGIT_VALUES turns the digits "0" and "1" into the lane values 0 and 1
+LANES = ((8, "B", "ascii"), (16, "H", "utf-16-be"), (32, "I", "utf-32-be"))
+DIGIT_VALUES = bytes.maketrans(b"01", b"\0\1")
 
 
 class NoWinningMoveError(RuntimeError):
@@ -45,6 +57,12 @@ class GameRegion:
     dim: int
     upper_bounds: tuple  # x_i <= upper_bounds[i]
 
+    def __post_init__(self):
+        if len(self.upper_bounds) != self.dim:
+            raise DimensionError(
+                "region of dimension %d has %d upper bounds"
+                % (self.dim, len(self.upper_bounds)))
+
     def contains(self, z):
         return all(map(le, z, self.upper_bounds))
 
@@ -58,6 +76,9 @@ class Window:
     hi: tuple
 
     def __post_init__(self):
+        if len(self.lo) != len(self.hi):
+            raise DimensionError("window corners have dimensions %d and %d"
+                                 % (len(self.lo), len(self.hi)))
         if any(a > b for a, b in zip(self.lo, self.hi)):
             raise ValueError("empty window")
 
@@ -127,11 +148,17 @@ def maximal_vclosed_subset(window, f):
     is always dead.  A round removes every live z with some v whose z+v
     and z-v are both dead at the start of the round.
 
-    Bitsets are decoded a row at a time: a row's cells share one tuple
-    of outer coordinates, so each cell is that prefix plus a one-tuple
-    for its innermost coordinate.  Ascending bit index is lexicographic
-    cell order, so the rank table is filled by round, then family
-    order, then cell.
+    The cells member j (its index in family order) removes in round r
+    get the code (r-1)*|f| + j + 1, and safe cells and padding get 0.
+    The rounds keep the codes as bit planes: plane k holds every cell
+    whose code has bit k set.  After the fixed point no Python runs per
+    cell: `format` writes each plane as binary digits, one lane per
+    cell, the planes' lanes add up to each cell's code, and `product`
+    over the padded box streams the cells against the codes and against
+    the lanes of the safe set.  Codes ascend with round, then family
+    order, and `product` yields cells in ascending (lexicographic)
+    order, so a stable counting sort of the removed cells by code fills
+    the rank table by round, then family order, then cell.
     """
     n = window.dim
     if n != f.dim:
@@ -141,33 +168,13 @@ def maximal_vclosed_subset(window, f):
         raise SizeLimitError("window volume %d exceeds limit %d"
                              % (window.volume(), WINDOW_VOLUME_LIMIT))
     margin = max((abs(a) for v in f for a in v), default=0)
-    plo = tuple(a - margin for a in window.lo)
     sides = [b - a + 1 for a, b in zip(window.lo, window.hi)]
     padded = [side + 2 * margin for side in sides]
     strides = [1] * n
     for i in range(n - 2, -1, -1):
         strides[i] = strides[i + 1] * padded[i + 1]
-    full = (1 << strides[0] * padded[0]) - 1
-
-    # bit index = row * width + innermost position, and rows ascend in
-    # lexicographic order of their outer coordinates
-    width = padded[-1]
-    prefixes = list(product(*(range(a, a + p)
-                              for a, p in zip(plo[:-1], padded[:-1]))))
-    tails = [(c,) for c in range(plo[-1], plo[-1] + width)]
-
-    def cells(x):
-        """Cells of the set bits of x, ascending: a row with a set bit is
-        found by one search and read as one slice of the digits."""
-        digits = bin(x)[:1:-1]
-        i = digits.find("1")
-        while i >= 0:
-            start = i - i % width
-            prefix = prefixes[start // width]
-            for tail, d in zip(tails, digits[start:start + width]):
-                if d == "1":
-                    yield prefix + tail
-            i = digits.find("1", start + width)
+    size = strides[0] * padded[0]
+    full = (1 << size) - 1
 
     alive = 1  # the window, one coordinate at a time, innermost first
     for s, side in zip(reversed(strides), reversed(sides)):
@@ -176,25 +183,63 @@ def maximal_vclosed_subset(window, f):
             alive |= row << c * s
 
     offsets = [abs(sum(a * s for a, s in zip(v, strides))) for v in f]
-    rank = {}
+    values = [None]  # code -> (round, member)
+    planes = []  # plane k: the removed cells whose code has bit k set
     rnd = 0
     while True:
+        rnd += 1
         dead = full ^ alive
-        removed = []
+        start = alive
         for v, off in zip(f.members, offsets):
             # claimed cells leave alive: each goes to the first member
+            code = len(values)
+            values.append((rnd, v))
             sel = alive & (dead >> off) & (dead << off)
             if sel:
                 alive ^= sel
-                removed.append((v, sel))
-        if not removed:
+                planes += [0] * (code.bit_length() - len(planes))
+                for k in range(code.bit_length()):
+                    if code >> k & 1:
+                        planes[k] |= sel
+        if alive == start:
             break
-        rnd += 1
-        for v, sel in removed:
-            rank.update(dict.fromkeys(cells(sel), (rnd, v)))
 
-    safe = PointSet(n, frozenset(cells(alive)))
-    return SafeSetCertificate(window, f, safe, rank)
+    bits, typecode, encoding = next(lane for lane in LANES
+                                    if len(planes) <= lane[0])
+    digits = "0%db" % size
+
+    def spread(x, encoding):
+        """The bits of x, highest cell first, one lane per cell."""
+        return format(x, digits).encode(encoding).translate(DIGIT_VALUES)
+
+    # lane i of the sum holds the code of cell i
+    lanes = sum(int.from_bytes(spread(x, encoding), "big") << k
+                for k, x in enumerate(planes))
+    del planes
+    lanes = memoryview(lanes.to_bytes(size * bits // 8, "little"))
+    lanes = lanes.cast(typecode)
+    # padded cells in bit order; padding is neither safe nor coded
+    ranges = [range(a - margin, b + margin + 1)
+              for a, b in zip(window.lo, window.hi)]
+
+    # a stable counting sort by code: code c owns the slots after all
+    # cells of lower codes, and each removed cell, in ascending order,
+    # takes the next slot of its code (deque(maxlen=0) runs the map)
+    codes = array(typecode, filter(None, lanes))
+    tally = Counter(codes)
+    sizes = [tally[c] for c in range(len(values))]
+    slots = list(map(count, accumulate(sizes, initial=0)))
+    ordered = [None] * len(codes)
+    deque(map(setitem, repeat(ordered),
+              map(next, map(slots.__getitem__, codes)),
+              compress(product(*ranges), lanes)), maxlen=0)
+    del lanes, codes
+    rank = dict(zip(ordered, chain.from_iterable(map(repeat, values,
+                                                     sizes))))
+    del ordered
+    safe = frozenset(compress(product(*ranges),
+                              spread(alive, "ascii")[::-1]))
+    return SafeSetCertificate(window, f, PointSet(n, safe), rank)
 
 
 def default_margin(f):

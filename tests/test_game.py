@@ -8,8 +8,8 @@ import pytest
 from balgame import game
 from balgame.balance import chooser_translate
 from balgame.cli import main
-from balgame.core import (PointSet, VectorFamily, canonical_family,
-                          enumerate_psum, vadd, vsub, zero)
+from balgame.core import (DimensionError, PointSet, VectorFamily,
+                          canonical_family, enumerate_psum, vadd, vsub, zero)
 from balgame.game import (ChooserEngine, GameRegion, NoWinningMoveError,
                           PusherEngine, RandomPusher, Window, is_vclosed,
                           maximal_vclosed_subset, simulate, verdict)
@@ -249,6 +249,18 @@ def test_volume_limit(monkeypatch):
         maximal_vclosed_subset(Window((-10, -10), (10, 10)), f)
 
 
+def test_window_rejects_unequal_corners():
+    with pytest.raises(DimensionError,
+                       match="^window corners have dimensions 2 and 1$"):
+        Window((0, 0), (1,))
+
+
+def test_region_rejects_wrong_bound_count():
+    with pytest.raises(DimensionError,
+                       match="^region of dimension 3 has 2 upper bounds$"):
+        GameRegion(3, (1, 1))
+
+
 def test_window_family_dimension_mismatch():
     with pytest.raises(ValueError, match="dimension"):
         maximal_vclosed_subset(Window((0, 0, 0), (1, 1, 1)),
@@ -287,9 +299,11 @@ def assert_rank_order(cert):
     assert keys == sorted(keys)
 
 
-def test_kernel_matches_reference_fixed_point():
-    rng = random.Random(2024)
-    for _ in range(200):
+def random_cases(seed, count):
+    """Random windows of dimension 1 to 4 with up to four members of
+    entries -2..2, as (family, window) pairs."""
+    rng = random.Random(seed)
+    for _ in range(count):
         n = rng.randint(1, 4)
         k = rng.randint(1, 4)
         members = []
@@ -300,11 +314,47 @@ def test_kernel_matches_reference_fixed_point():
         f = VectorFamily(n, tuple(members), strict=False)
         lo = tuple(rng.randint(-3, 1) for _ in range(n))
         hi = tuple(a + rng.randint(0, REFERENCE_SIDE[n]) for a in lo)
-        cert = maximal_vclosed_subset(Window(lo, hi), f)
-        safe, rank = reference_rounds(Window(lo, hi), f)
-        assert cert.safe.points == safe
-        assert cert.rank == rank
-        assert_rank_order(cert)
+        yield f, Window(lo, hi)
+
+
+def assert_matches_reference(window, f):
+    cert = maximal_vclosed_subset(window, f)
+    safe, rank = reference_rounds(window, f)
+    assert cert.safe.points == safe
+    assert cert.rank == rank
+    assert_rank_order(cert)
+    return cert
+
+
+def test_kernel_matches_reference_fixed_point():
+    for f, w in random_cases(2024, 200):
+        assert_matches_reference(w, f)
+
+
+@pytest.mark.parametrize("lane", game.LANES,
+                         ids=["%d-bit" % lane[0] for lane in game.LANES])
+def test_kernel_every_lane_width(monkeypatch, lane):
+    # each lane width decodes the same codes, also where they need fewer
+    # bits than the lane holds
+    monkeypatch.setattr(game, "LANES", (lane,))
+    for f, w in random_cases(7, 60):
+        assert_matches_reference(w, f)
+
+
+def test_kernel_two_byte_lanes():
+    # 90 rounds of three members: codes up to 268 need two-byte lanes.
+    # Digests recorded with the row-wise decoder.
+    f = VectorFamily(2, ((-2, 0), (0, 1), (-2, -1)))
+    cert = assert_matches_reference(Window((0, 0), (4, 89)), f)
+    assert max((rnd - 1) * len(f) + f.index(v) + 1
+               for rnd, v in cert.rank.values()) == 268
+    assert (len(cert.safe), len(cert.rank)) == (268, 182)
+    doc = json.dumps(cert.as_dict(), sort_keys=True)
+    rank = repr(list(cert.rank.items()))
+    assert hashlib.sha256(doc.encode()).hexdigest() == (
+        "a8e805ef3b99ce2da241c544a12d0c351c10c4ab94e4951613e4ba2caf579e2b")
+    assert hashlib.sha256(rank.encode()).hexdigest() == (
+        "7d6b3534a0511c42a90c3dd03d176e8fe61b1193878d3009cd3ba908cbc4f831")
 
 
 def test_kernel_matches_reference_property():
@@ -334,15 +384,11 @@ def test_kernel_matches_reference_property():
     @hypothesis.example(([(3, -2, 1), (-1, 3, 0)], (-2, -2, -2), (3, 3, 2)))
     def check(case):
         members, lo, hi = case
-        f = VectorFamily(len(lo), tuple(members), strict=False)
         w = Window(lo, hi)
-        cert = maximal_vclosed_subset(w, f)
-        safe, rank = reference_rounds(w, f)
-        assert cert.safe.points == safe
-        assert cert.rank == rank
-        assert_rank_order(cert)
+        cert = assert_matches_reference(
+            w, VectorFamily(len(lo), tuple(members), strict=False))
         if not members:
-            assert len(safe) == w.volume()
+            assert len(cert.safe) == w.volume()
 
     check()
 
