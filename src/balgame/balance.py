@@ -64,12 +64,22 @@ def odd_signs(n):
 
 
 def middle_layer(n):
-    """Canonical members with coordinate sum 0; size C(n-1, n/2)."""
+    """Canonical members with coordinate sum 0; size C(n-1, n/2).
+
+    A member has sum 0 iff n/2 of its coordinates 2..n are -1.  Family
+    order puts +1 before -1, coordinate by coordinate, so the members
+    come in the reverse of `combinations` order over the positions of
+    their -1s; the rest of the family is never built.
+    """
     if n % 2 != 0:
         raise ValueError("middle layer needs even n, got %s" % n)
-    f = canonical_family(n)
-    members = tuple(v for v in f if sum(v) == 0)
-    return VectorFamily(n, members, label="middle_layer(%d)" % n)
+    members = []
+    for neg in reversed(list(combinations(range(1, n), n // 2))):
+        v = [1] * n
+        for i in neg:
+            v[i] = -1
+        members.append(tuple(v))
+    return VectorFamily(n, tuple(members), label="middle_layer(%d)" % n)
 
 
 def rotate(v):
@@ -126,48 +136,66 @@ def _pack_pairs(vs):
 
 
 def _search_reps(reps, target, node_budget=4 * 10 ** 6):
-    """Find eps in {-1,+1}^k with sum eps_j reps[j] = target, by
-    backtracking with coordinate-interval and parity pruning.  All reps
-    are +-1 vectors, so each remaining vector moves every coordinate by
-    exactly one; that makes both prunes exact."""
+    """Find eps in {-1,+1}^k with sum eps_j reps[j] = target by
+    depth-first backtracking, sign +1 before -1.  Every node entered,
+    the root included, counts against `node_budget`.
+
+    All reps are +-1 vectors, so a step moves each residual r_i (what
+    remains of target_i) by exactly one and the count rem of vectors
+    left by one.  That makes both prunes exact:
+    - parity: r_i - rem mod 2 is the same at every node of a path, so
+      it is tested once, at the root;
+    - interval: |r_i| <= rem, that is rem + r_i >= 0 and rem - r_i >= 0.
+      One int holds these 2n values, a lane each with an offset and a
+      guard bit, and a node passes iff every guard bit is set.  Sign s
+      on v lowers rem + r_i by 1 + s*v_i and rem - r_i by 1 - s*v_i,
+      each 0 or 2, so a child is its parent minus a per-depth delta.
+      At depth k the test is r = 0, a solution.
+    """
     n = len(target)
     k = len(reps)
-    partial = list(target)  # residual target: what remains to be hit
+    if node_budget < 1:
+        raise UnsatisfiableError("node budget exhausted")
+    if any(abs(t) > k or (t - k) % 2 for t in target):
+        return None
+    # lane values stay in [-2, 2k]: a child of a passing node drops a
+    # lane by at most 2 below 0, and the root's two lanes add up to 2k
+    offset = (2 * k).bit_length()
+    width = offset + 1
+    guard = sum(1 << width * i + offset for i in range(2 * n))
+    state = guard + sum((k + t) << width * i | (k - t) << width * (n + i)
+                        for i, t in enumerate(target))
+    plus = []  # plus[j]: the delta of sign +1 on reps[j]
+    minus = []
+    for v in reps:
+        up = sum(2 << width * i for i, a in enumerate(v) if a == 1)
+        down = sum(2 << width * i for i, a in enumerate(v) if a == -1)
+        plus.append(up | down << width * n)
+        minus.append(down | up << width * n)
     signs = [0] * k
-    nodes = 0
-
-    def feasible(depth):
-        rem = k - depth
-        for i in range(n):
-            r = partial[i]
-            if abs(r) > rem or (r - rem) % 2 != 0:
-                return False
-        return True
-
-    def go(depth):
-        nonlocal nodes
+    states = [0] * k  # states[j]: the node at depth j on the current path
+    nodes = 1
+    depth = 0
+    while True:
+        if state & guard == guard:
+            if depth == k:
+                return signs
+            states[depth] = state
+            signs[depth] = 1
+            state -= plus[depth]
+            depth += 1
+        else:
+            depth -= 1
+            while depth >= 0 and signs[depth] == -1:
+                depth -= 1
+            if depth < 0:
+                return None
+            signs[depth] = -1
+            state = states[depth] - minus[depth]
+            depth += 1
         nodes += 1
         if nodes > node_budget:
             raise UnsatisfiableError("node budget exhausted")
-        if depth == k:
-            return all(a == 0 for a in partial)
-        if not feasible(depth):
-            return False
-        v = reps[depth]
-        for s in (1, -1):
-            for i in range(n):
-                partial[i] -= s * v[i]
-            signs[depth] = s
-            if go(depth + 1):
-                return True
-            for i in range(n):
-                partial[i] += s * v[i]
-        signs[depth] = 0
-        return False
-
-    if go(0):
-        return list(signs)
-    return None
 
 
 def search_signs(vs, target):

@@ -144,11 +144,6 @@ class SignAssignment:
         if any(s not in (-1, 1) for s in self.signs):
             raise ValueError("signs must be -1 or +1")
 
-    def positive_subset(self):
-        """S0 = {v : eps_v = +1}."""
-        return tuple(v for v, s in zip(self.family.members, self.signs)
-                     if s == 1)
-
     def signed_sum(self):
         n = self.family.dim
         total = zero(n)

@@ -36,6 +36,13 @@ from .core import (DimensionError, PointSet, SizeLimitError, family_width,
 # removed in 700 rounds, took 6-10 s and 553 MB (2-vCPU Xeon, Python 3.11).
 WINDOW_VOLUME_LIMIT = 4 * 10 ** 6
 
+# Each round costs about one pass over the padded cells, and a window
+# under the volume limit can still take a round per cell along a thin
+# side.  The 2 x 1400 x 1400 box above does 701 rounds over 7.9 * 10^6
+# padded cells, 5.5 * 10^9 cell-rounds; the largest verdict or window in
+# the tests and the benchmark does 1.9 * 10^7.
+WORK_LIMIT = 6 * 10 ** 9
+
 # lanes for per-cell removal codes of at most 8, 16 or 32 bits: the array
 # typecode, and the encoding that writes one binary digit per lane;
 # DIGIT_VALUES turns the digits "0" and "1" into the lane values 0 and 1
@@ -188,6 +195,10 @@ def maximal_vclosed_subset(window, f):
     rnd = 0
     while True:
         rnd += 1
+        if rnd * size > WORK_LIMIT:
+            raise SizeLimitError("deletion round %d over %d padded cells "
+                                 "exceeds the work limit %d"
+                                 % (rnd, size, WORK_LIMIT))
         dead = full ^ alive
         start = alive
         for v, off in zip(f.members, offsets):

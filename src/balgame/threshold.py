@@ -12,17 +12,6 @@ from math import comb
 from .core import canonical_family, vdot
 
 
-def nu2(x):
-    """2-adic valuation: largest d with 2^d | x."""
-    if x <= 0:
-        raise ValueError("nu2 requires a positive integer, got %s" % x)
-    d = 0
-    while x % 2 == 0:
-        x //= 2
-        d += 1
-    return d
-
-
 def is_power_of_two(n):
     return n >= 1 and n & (n - 1) == 0
 

@@ -49,10 +49,12 @@ def test_constructions_reject_n_above_limit():
 
 
 def test_middle_layer():
-    for n in (2, 4, 6, 8):
+    for n in range(2, 17, 2):
         ml = middle_layer(n)
         assert len(ml) == comb(n - 1, n // 2)
-        assert all(sum(v) == 0 and v[0] == 1 for v in ml)
+        # the family's sum-0 members, in family order
+        assert ml.members == tuple(v for v in canonical_family(n)
+                                   if sum(v) == 0), n
     with pytest.raises(ValueError):
         middle_layer(5)
 
@@ -115,6 +117,115 @@ def test_search_signs_budget_exhausted(monkeypatch):
                                           node_budget=3))
     with pytest.raises(UnsatisfiableError, match="node budget"):
         search_signs(selfneg, zero(n))
+
+
+def reference_search_reps(reps, target):
+    """The recursive search `_search_reps` replaces: (signs or None, nodes
+    visited).  Every node tests the interval and parity of each residual
+    coordinate, one Python loop each over n."""
+    n = len(target)
+    k = len(reps)
+    partial = list(target)
+    signs = [0] * k
+    nodes = 0
+
+    def feasible(depth):
+        rem = k - depth
+        for i in range(n):
+            r = partial[i]
+            if abs(r) > rem or (r - rem) % 2 != 0:
+                return False
+        return True
+
+    def go(depth):
+        nonlocal nodes
+        nodes += 1
+        if depth == k:
+            return all(a == 0 for a in partial)
+        if not feasible(depth):
+            return False
+        v = reps[depth]
+        for s in (1, -1):
+            for i in range(n):
+                partial[i] -= s * v[i]
+            signs[depth] = s
+            if go(depth + 1):
+                return True
+            for i in range(n):
+                partial[i] += s * v[i]
+        signs[depth] = 0
+        return False
+
+    return (list(signs) if go(0) else None), nodes
+
+
+def assert_search_matches_reference(reps, target):
+    """Same signs as the reference, and the reference's node count is
+    exactly the smallest budget that lets the search finish."""
+    want, nodes = reference_search_reps(reps, target)
+    assert balance._search_reps(reps, target, node_budget=nodes) == want
+    with pytest.raises(UnsatisfiableError, match="node budget"):
+        balance._search_reps(reps, target, node_budget=nodes - 1)
+    return want, nodes
+
+
+def test_search_reps_matches_reference_small_path():
+    # the searches balance_middle runs for n = 4..10, and more: every
+    # defect candidate for a power of two (balance_middle stops at the
+    # first, which is reachable), the zero target otherwise
+    first_nodes = {}
+    for n in (4, 6, 8, 10):
+        selfneg = [v for o in orbit_decompose(n) if o.self_negating
+                   for v in o.members]
+        reps = balance._pack_pairs(selfneg)
+        targets = (list(balance._pow2_defect_candidates(n)) if n in (4, 8)
+                   else [zero(n)])
+        results = [assert_search_matches_reference(reps, t) for t in targets]
+        assert results[0][0] is not None, n
+        first_nodes[n] = results[0][1]
+    assert first_nodes == {4: 7, 6: 9, 8: 52, 10: 249}
+
+
+def test_search_reps_matches_reference_property():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+
+    @st.composite
+    def cases(draw):
+        n = draw(st.integers(1, 6))
+        vectors = st.tuples(*[st.sampled_from((1, -1))] * n)
+        reps = []
+        for v in draw(st.lists(vectors, max_size=12, unique=True)):
+            if vneg(v) not in reps:
+                reps.append(v)
+        # a negation-closed list in a drawn order, so that either vector
+        # of a pair can come first
+        vs = draw(st.permutations([u for v in reps for u in (v, vneg(v))]))
+        if draw(st.booleans()):
+            eps = draw(st.lists(st.sampled_from((1, -1)),
+                                min_size=len(reps), max_size=len(reps)))
+            half = signed_sum(list(zip(eps, reps))) if reps else zero(n)
+        else:
+            half = draw(st.tuples(*[st.integers(-len(reps) - 2,
+                                                len(reps) + 2)] * n))
+        return vs, half
+
+    @hypothesis.settings(max_examples=200, deadline=None,
+                         derandomize=True, database=None)
+    @hypothesis.given(cases())
+    def check(case):
+        vs, half = case
+        reps = balance._pack_pairs(vs)
+        want, _nodes = assert_search_matches_reference(reps, half)
+        target = smul(2, half)
+        if want is None:
+            with pytest.raises(UnsatisfiableError, match="no antisymmetric"):
+                search_signs(vs, target)
+        else:
+            eps = search_signs(vs, target)
+            assert [eps[r] for r in reps] == want
+
+    check()
 
 
 def test_partial_color_bound():
@@ -181,6 +292,11 @@ def test_balance_middle_defects():
         assert len(sa.signs) == comb(n - 1, n // 2)
 
 
+def middle_digest(n):
+    sa, defect = balance_middle_cached(n)
+    return hashlib.sha256(repr((sa.signs, defect)).encode()).hexdigest()
+
+
 @pytest.mark.parametrize("n,digest", [
     # sha256 of repr((signs, defect)) recorded with the Fraction kernel;
     # both sizes go through the partial-coloring pipeline, so this pins
@@ -189,9 +305,20 @@ def test_balance_middle_defects():
     (16, "9ce9329c7935e2d87f65e165a6852c657f9ae19e92cb594416a1e0915c5cef7b"),
 ])
 def test_balance_middle_pipeline_pinned(n, digest):
-    sa, defect = balance_middle_cached(n)
-    got = hashlib.sha256(repr((sa.signs, defect)).encode()).hexdigest()
-    assert got == digest
+    assert middle_digest(n) == digest
+
+
+@pytest.mark.parametrize("n,digest", [
+    # sha256 of repr((signs, defect)) recorded with the recursive sign
+    # search; these sizes take the orbit decomposition and sign search
+    (4, "28ea42934c263762addd15c152a9baa24325dd52571a86656695bb3dba9bda83"),
+    (6, "854a42e58832f04b8556c683acdba5208fb611e314371994c41a3ebebcaf5f1a"),
+    (8, "2569dbadeab376ed7097625f87de07d9b2305531932e9a6cb2f45d8e0d7e15e1"),
+    (10, "e74fa7eaa84106aa828f66989a793946f113993a07799d10a64e89715e0406f7"),
+    (12, "70810383df2d051a64b82e6239d5c0542ade248c31d59c908baa136a96dbd821"),
+])
+def test_balance_middle_search_pinned(n, digest):
+    assert middle_digest(n) == digest
 
 
 def test_balance_middle_errors():

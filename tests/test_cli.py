@@ -209,6 +209,10 @@ def test_maximal(capsys, tmp_path):
     ("dim 3\n1x1\n", "0:1;0:1;0:1"),
     # volume 4.0e8 is over the window limit (SizeLimitError)
     (format_family(canonical_family(2)), "0:20000;0:20000"),
+    # volume 4.0e6 is under it, but the deletion takes a round per row
+    # along the long side: over the work limit at round 834, not
+    # 800000 rounds later (SizeLimitError)
+    ("dim 2\n-2,0\n0,1\n-2,-1\n", "0:4;0:799999"),
 ])
 def test_maximal_bad_input_is_usage_error(capsys, tmp_path, family, window):
     fam_path = tmp_path / "fam.txt"

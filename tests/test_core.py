@@ -137,7 +137,6 @@ def test_parallel_detection():
 def test_sign_assignment():
     f = canonical_family(2)
     sa = SignAssignment(f, (1, -1))
-    assert sa.positive_subset() == ((1, 1),)
     assert sa.signed_sum() == (0, 2)
     with pytest.raises(ValueError):
         SignAssignment(f, (1,))

@@ -249,6 +249,18 @@ def test_volume_limit(monkeypatch):
         maximal_vclosed_subset(Window((-10, -10), (10, 10)), f)
 
 
+def test_work_limit(monkeypatch):
+    # a 5 x 2 window padded by 2 to 9 x 6 cells: every cell is removed
+    # in rounds 1-3, and round 4, which removes nothing, is the last
+    f = VectorFamily(2, ((-2, 0), (0, 1), (-2, -1)))
+    w = Window((0, 0), (4, 1))
+    monkeypatch.setattr(game, "WORK_LIMIT", 4 * 54)
+    assert len(maximal_vclosed_subset(w, f).rank) == 10
+    monkeypatch.setattr(game, "WORK_LIMIT", 4 * 54 - 1)
+    with pytest.raises(game.SizeLimitError, match="round 4 over 54 padded"):
+        maximal_vclosed_subset(w, f)
+
+
 def test_window_rejects_unequal_corners():
     with pytest.raises(DimensionError,
                        match="^window corners have dimensions 2 and 1$"):

@@ -1,21 +1,11 @@
 from fractions import Fraction
-from math import comb
 
 import pytest
 
 from balgame.core import canonical_family
 from balgame.threshold import (critical_M, cross_validate,
-                               half_central_parity, is_power_of_two, nu2,
-                               r_direct, r_value)
-
-
-def test_nu2():
-    assert nu2(12) == 2
-    assert nu2(comb(4, 2)) == 1
-    assert nu2(comb(6, 3)) == 2
-    assert nu2(1) == 0
-    with pytest.raises(ValueError):
-        nu2(0)
+                               half_central_parity, is_power_of_two, r_direct,
+                               r_value)
 
 
 def test_half_central_parity_examples():
