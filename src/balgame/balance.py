@@ -6,14 +6,15 @@ itself.  The middle-layer signing goes through either a rotation-orbit
 decomposition plus a backtracking search, exact for +-1 vectors (small
 n), or a greedy pair system, an exact partial coloring, and a pair-wise
 expression step (large n).  The coloring's kernel vectors come from
-fraction-free integer elimination with `lp.pivot`.
+one fraction-free echelon, kept across the walk with `lp.pivot`.
 """
 
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 from itertools import combinations
-from math import comb
+from math import comb, gcd
+from operator import mul
 
 from . import lp
 from .core import (SignAssignment, SizeLimitError, VectorFamily,
@@ -36,8 +37,8 @@ class UnsatisfiableError(RuntimeError):
 
 
 # The largest n the constructions finish in under a minute (2-vCPU Xeon,
-# Python 3.11): balance_middle(20) takes about 34 s and
-# chooser_translate(21) about 8 s, while n = 22 has a middle layer of
+# Python 3.11): balance_middle(20) takes about 9-10 s and
+# chooser_translate(21) about 6-7 s, while n = 22 has a middle layer of
 # C(21, 11) = 352716 vectors, about four times that of n = 20.
 N_LIMIT = 21
 
@@ -326,42 +327,48 @@ def greedy_pairs(n, R):
 
 # --- exact partial coloring --------------------------------------------
 
-def _kernel_vector(cols, n):
-    """A nonzero rational kernel vector of the n x m matrix with the
-    given integer columns (m > rank guaranteed by m = n+1), by
-    fraction-free elimination: row r of the integer tableau over its
-    common denominator d has d in its pivot column."""
-    m = len(cols)
-    a = [[cols[j][i] for j in range(m)] for i in range(n)]
-    basis = []  # basis[r] is the pivot column of row r
-    d = 1
-    for col in range(m):
-        row = len(basis)
-        sel = next((r for r in range(row, n) if a[r][col] != 0), None)
-        if sel is None:
-            continue
-        a[row], a[sel] = a[sel], a[row]
-        basis.append(col)
-        d = lp.pivot(a, basis, row, col, d)
-        if len(basis) == n:
-            break
-    free = next(c for c in range(m) if c not in basis)
-    k = [Fraction(0)] * m
-    k[free] = Fraction(1)
-    for r, c in enumerate(basis):
-        k[c] = Fraction(-a[r][free], d)
-    return k
-
-
 def partial_color(vs):
     """Signs for +-1 vectors with signed sum bounded by n in every
-    coordinate, via an exact fractional kernel walk.
+    coordinate, via an exact fractional kernel walk (Beck-Fiala,
+    *Integer-making theorems*, 1981).
 
-    Coefficients start at 0 and walk along rational kernel directions of
-    the active columns until they freeze at +-1; at most n stay
-    fractional at the end and rounding them perturbs each coordinate by
+    Coefficients lam start at 0.  The first n + 1 unfrozen columns are
+    active; each step moves their lam along a kernel vector k of the
+    active columns until one more reaches +-1 and freezes there.  Once
+    at most n stay fractional, rounding them perturbs each coordinate by
     at most 1 each, so the infinity norm of the result is at most n.  A
     final greedy flip pass shrinks it further when it can.
+
+    The direction is fixed by the ordered active columns: `free` is the
+    first active column that depends on the columns before it, and k is
+    zero off the lex-first basis and `free`, with k[free] = 1.  It is
+    read off one fraction-free Gauss-Jordan tableau (`lp.pivot`) kept
+    across steps: the active columns, plus an n x n block that records
+    the row operations, all over one denominator d.  Row r holds d in
+    its basic column, so k is d at `free` and -tab[r][free] at the basic
+    column of row r, all over d; the walk takes it negated when d < 0, a
+    positive multiple of k, which gives the same step.
+    - A frozen column outside the basis leaves with no pivot.
+    - A frozen basis column in row r is replaced by one pivot, on the
+      first active non-basis column with a nonzero in row r.  The
+      non-basis columns before it do not use the frozen column, so they
+      still depend on the columns before them; the replacement uses it,
+      so it is now independent of the columns before it; and from it
+      on, every prefix spans what it spanned before.  So the basis
+      stays lex-first.  With no such column, row r is left without a
+      pivot.
+    - An entering column is the recorded block times the vector (n^2
+      products).  It is pivoted in only if it is nonzero in a row that
+      has no pivot, that is, if it is independent of the active columns.
+
+    The walk is in integers: the active lam over one positive common
+    denominator, reduced by their gcd after each step, and a column
+    freezes when its numerator equals the denominator in size.
+
+    The flip pass restarts at the first vector after every flip.  As
+    every coordinate of x has the parity of len(vs), flipping s_j
+    lowers the norm `cur` iff s_j v_j is +1 wherever x_i >= cur - 2 and
+    -1 wherever x_i <= 2 - cur: two mask tests per vector.
     """
     vs = [tuple(v) for v in vs]
     if not vs:
@@ -369,52 +376,97 @@ def partial_color(vs):
     n = len(vs[0])
     big_n = len(vs)
     for v in vs:
-        if any(a not in (-1, 1) for a in v):
-            raise ValueError("partial_color expects +-1 vectors")
-    lam = [Fraction(0)] * big_n
-    frozen = {}
-    nxt = 0  # next column of vs to enter the active set
-    active = []
+        if len(v) != n or any(a not in (-1, 1) for a in v):
+            raise ValueError("partial_color expects +-1 vectors of one "
+                             "length")
+    signs = [0] * big_n
+    # row r: the recorded row operations E, then one entry per active
+    # column, with tab / d = E [I | active]
+    tab = [[int(i == r) for i in range(n)] for r in range(n)]
+    basis = [None] * n  # basis[r]: the tableau column pivoted in row r
+    d = 1
+    active = []  # indices into vs, ascending
+    lam = []  # numerators of the active lam over den
+    den = 1
+    nxt = 0
     while True:
         while nxt < big_n and len(active) < n + 1:
+            c = n + len(active)
+            v = vs[nxt]
+            for row in tab:
+                row.append(sum(map(mul, row, v)))
+            r = next((r for r in range(n)
+                      if basis[r] is None and tab[r][c]), None)
+            if r is not None:
+                d = lp.pivot(tab, basis, r, c, d)
             active.append(nxt)
+            lam.append(0)
             nxt += 1
         if len(active) <= n:
             break
-        k = _kernel_vector([vs[j] for j in active], n)
-        step = None
-        for idx, j in enumerate(active):
-            kj = k[idx]
-            if kj == 0:
-                continue
-            t = (1 - lam[j]) / kj if kj > 0 else (-1 - lam[j]) / kj
-            if step is None or t < step:
-                step = t
-        for idx, j in enumerate(active):
-            lam[j] += step * k[idx]
-        newly = [j for j in active if abs(lam[j]) == 1]
-        for j in newly:
-            frozen[j] = int(lam[j])
-        active = [j for j in active if j not in frozen]
-    for j in active:
-        frozen[j] = 1 if lam[j] >= 0 else -1
-    signs = [frozen[j] for j in range(big_n)]
+        basic = set(basis)
+        free = next(c for c in range(n, 2 * n + 1) if c not in basic)
+        k = [0] * (n + 1)
+        k[free - n] = d
+        for r, c in enumerate(basis):
+            if c is not None:
+                k[c - n] = -tab[r][free]
+        if d < 0:
+            k = [-a for a in k]
+        # the step to the nearest of +-1, a / (den * b), least over k
+        best_a = best_b = None
+        for num, kj in zip(lam, k):
+            if kj:
+                a, b = (den - num, kj) if kj > 0 else (den + num, -kj)
+                if best_b is None or a * best_b < best_a * b:
+                    best_a, best_b = a, b
+        lam = [best_b * num + best_a * kj for num, kj in zip(lam, k)]
+        den *= best_b
+        g = gcd(den, *lam)
+        if g > 1:
+            lam = [num // g for num in lam]
+            den //= g
+        gone = [p for p, num in enumerate(lam) if abs(num) == den]
+        for p in gone:
+            signs[active[p]] = 1 if lam[p] > 0 else -1
+            if n + p in basic:
+                r = basis.index(n + p)
+                row = tab[r]
+                # every other basic column is 0 in row r, so the first
+                # nonzero left is the first non-basis one
+                q = next((q for q in range(n + 1)
+                          if row[n + q] and q not in gone), None)
+                if q is None:
+                    basis[r] = None
+                else:
+                    d = lp.pivot(tab, basis, r, n + q, d)
+        for p in reversed(gone):
+            c = n + p
+            for row in tab:
+                del row[c]
+            del active[p], lam[p]
+            basis = [b if b is None or b < c else b - 1 for b in basis]
+    for j, num in zip(active, lam):
+        signs[j] = 1 if num >= 0 else -1
     x = zero(n)
     for s, v in zip(signs, vs):
-        x = vadd(x, smul(s, v))
-    # greedy descent on the max-norm
-    improved = True
-    while improved:
-        improved = False
-        cur = max(abs(a) for a in x)
-        for j in range(big_n):
-            cand = vsub(x, smul(2 * signs[j], vs[j]))
-            if max(abs(a) for a in cand) < cur:
-                x = cand
-                signs[j] = -signs[j]
-                improved = True
-                break
-    if max(abs(a) for a in x) > n:
+        x = vadd(x, v) if s == 1 else vsub(x, v)
+    # greedy descent on the max-norm; up[j]: where s_j v_j is +1
+    up = [sum(1 << i for i, a in enumerate(v) if a == s)
+          for s, v in zip(signs, vs)]
+    full = (1 << n) - 1
+    while True:
+        cur = max(map(abs, x))
+        hi = sum(1 << i for i, a in enumerate(x) if a >= cur - 2)
+        lo = sum(1 << i for i, a in enumerate(x) if a <= 2 - cur)
+        j = next((j for j, u in enumerate(up)
+                  if not (hi & ~u or lo & u)), None)
+        if j is None:
+            break
+        s = signs[j] = -signs[j]
+        x = vadd(x, smul(2 * s, vs[j]))
+        up[j] ^= full
+    if cur > n:
         raise ConstructionError("partial coloring bound violated")
     return signs, x
 

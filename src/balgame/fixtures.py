@@ -1,171 +1,9 @@
-"""Bundled reference sign tables for the self-negating-orbit vectors.
-
-Format: one line per vector, `+ <bits>` or `- <bits>`, with 0 standing
-for -1.  For n in {6, 10, 12} the signed sum is the zero vector; for
-n in {4, 8} it is 2w for the recorded w.  The regression suite
-re-verifies all of this by direct addition.
+"""The sign-table text format: one line per vector, `+ <bits>` or
+`- <bits>`, with 0 standing for -1.  The `signs` command prints its
+tables in it and `signs --verify` re-adds them as printed.
 """
 
-from .core import bits_to_vector
-
-SIGN_TABLES = {
-    6: """\
-+ 000111
-- 001110
-+ 011100
-- 100011
-+ 110001
-- 111000
-- 010101
-+ 101010
-""",
-    10: """\
-+ 0000011111
-- 0000111110
-- 0001111100
-+ 0011111000
-- 0111110000
-+ 1000001111
-- 1100000111
-+ 1110000011
-+ 1111000001
-- 1111100000
-+ 0001011101
-- 0010111010
-- 0100010111
-+ 0101110100
-+ 0111010001
-- 1000101110
-- 1010001011
-+ 1011101000
-+ 1101000101
-- 1110100010
-+ 0010011011
-- 0011011001
-+ 0100110110
-- 0110010011
-+ 0110110010
-- 1001001101
-+ 1001101100
-- 1011001001
-+ 1100100110
-- 1101100100
-- 0101010101
-+ 1010101010
-""",
-    12: """\
-+ 000000111111
-+ 000001111110
-+ 000011111100
-+ 000111111000
-+ 001111110000
-- 011111100000
-+ 100000011111
-- 110000001111
-- 111000000111
-- 111100000011
-- 111110000001
-- 111111000000
-- 000010111101
-- 000101111010
-+ 001011110100
-- 010000101111
-+ 010111101000
-+ 011110100001
-- 100001011110
-- 101000010111
-+ 101111010000
-- 110100001011
-+ 111010000101
-+ 111101000010
-- 000100111011
-- 001001110110
-- 001110110001
-- 010011101100
-+ 011000100111
-+ 011101100010
-- 100010011101
-- 100111011000
-+ 101100010011
-+ 110001001110
-+ 110110001001
-+ 111011000100
-- 000110111001
-- 001000110111
-- 001101110010
-+ 010001101110
-- 011011100100
-+ 011100100011
-- 100011011100
-+ 100100011011
-- 101110010001
-+ 110010001101
-+ 110111001000
-+ 111001000110
-+ 000111000111
-- 001110001110
-+ 011100011100
-- 100011100011
-+ 110001110001
-- 111000111000
-+ 001010110101
-+ 010010101101
-+ 010100101011
-- 010101101010
-- 010110101001
-- 011010100101
-+ 100101011010
-+ 101001010110
-+ 101010010101
-- 101011010100
-- 101101010010
-- 110101001010
-+ 001100110011
-- 011001100110
-+ 100110011001
-- 110011001100
-- 010101010101
-+ 101010101010
-""",
-    4: """\
-- 0011
-- 0110
-+ 1001
-+ 1100
-- 0101
-+ 1010
-""",
-    8: """\
-- 00001111
-+ 00011110
-- 00111100
-- 01111000
-+ 10000111
-+ 11000011
-- 11100001
-+ 11110000
-+ 00101101
-- 01001011
-+ 01011010
-+ 01101001
-- 10010110
-- 10100101
-+ 10110100
-- 11010010
-- 00110011
-- 01100110
-+ 10011001
-+ 11001100
-- 01010101
-+ 10101010
-""",
-}
-
-# recorded signed sums: 2w for the power-of-2 cases, 0 otherwise
-TABLE_W = {
-    4: (3, -1, -1, -1),
-    8: (3, -1, -1, -1, 3, -1, -1, -1),
-}
+from .core import bits_to_vector, vector_to_bits
 
 
 def parse_sign_table(text):
@@ -183,11 +21,6 @@ def parse_sign_table(text):
 
 
 def format_sign_table(rows):
-    from .core import vector_to_bits
     lines = ["%s %s" % ("+" if s == 1 else "-", vector_to_bits(v))
              for s, v in rows]
     return "\n".join(lines) + "\n"
-
-
-def fixture_rows(n):
-    return parse_sign_table(SIGN_TABLES[n])

@@ -10,7 +10,7 @@ tableau gives.
 
 `simplex_max` solves from the feasible origin of `a_ub z <= b_ub` with
 `b_ub >= 0`; `feasible_combination` is a phase one on its equality
-rows.  `pivot` is also the partial coloring's elimination step."""
+rows.  `pivot` also keeps the partial coloring's echelon."""
 
 from fractions import Fraction
 from math import lcm

@@ -7,13 +7,14 @@ from balgame.balance import balance_middle_cached, chooser_translate
 from balgame.coloring import color_msets, verify_coloring
 from balgame.core import (canonical_family, enumerate_psum, smul, vadd,
                           zero, VectorFamily)
-from balgame.fixtures import TABLE_W, fixture_rows
 from balgame.game import ChooserEngine, GameRegion, RandomPusher, simulate
 from balgame.threshold import (critical_M, cross_validate,
                                half_central_parity, is_power_of_two,
                                r_direct, r_value)
 from balgame.witness import (NotApplicableError, extreme_points,
                              random_vclosed, translate_witness)
+
+from sign_tables import TABLE_W, fixture_rows
 
 
 def report(num, name, ok, elapsed, budget):

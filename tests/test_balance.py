@@ -1,12 +1,13 @@
 import functools
 import hashlib
+import random
 from fractions import Fraction
 from itertools import product
 from math import ceil, comb, floor
 
 import pytest
 
-from balgame import balance
+from balgame import balance, lp
 from balgame.balance import (NotExpressibleError, UnsatisfiableError,
                              balance_middle, balance_middle_cached,
                              chooser_translate, express_in_pairs,
@@ -14,8 +15,9 @@ from balgame.balance import (NotExpressibleError, UnsatisfiableError,
                              orbit_decompose, pair_system_center,
                              partial_color, rotate, search_signs)
 from balgame.core import (SizeLimitError, canonical_family, enumerate_psum,
-                          smul, vadd, vneg, zero)
-from balgame.fixtures import TABLE_W, fixture_rows
+                          smul, vadd, vneg, vsub, zero)
+
+from sign_tables import TABLE_W, fixture_rows
 
 
 def signed_sum(rows):
@@ -246,6 +248,210 @@ def test_partial_color_trivial():
 def test_partial_color_rejects_general_vectors():
     with pytest.raises(ValueError):
         partial_color([(2, 0)])
+    # the echelon multiplies every vector into a block of len(vs[0])
+    # columns, so a vector of another length is refused
+    for vs in ([(1, 1), (1,)], [(1,), (1, -1)]):
+        with pytest.raises(ValueError, match="one length"):
+            partial_color(vs)
+
+
+# --- the partial coloring against its reference walk ---------------------
+#
+# The walk `partial_color` replaces: a full fraction-free elimination of
+# the active columns at every step, and Fraction coefficients.  The kept
+# echelon must take the same steps, so every (signs, x) must agree.
+
+def reference_kernel_vector(cols, n):
+    """A nonzero rational kernel vector of the n x m matrix with the
+    given integer columns (m > rank guaranteed by m = n+1), by
+    fraction-free elimination: row r of the integer tableau over its
+    common denominator d has d in its pivot column."""
+    m = len(cols)
+    a = [[cols[j][i] for j in range(m)] for i in range(n)]
+    basis = []  # basis[r] is the pivot column of row r
+    d = 1
+    for col in range(m):
+        row = len(basis)
+        sel = next((r for r in range(row, n) if a[r][col] != 0), None)
+        if sel is None:
+            continue
+        a[row], a[sel] = a[sel], a[row]
+        basis.append(col)
+        d = lp.pivot(a, basis, row, col, d)
+        if len(basis) == n:
+            break
+    free = next(c for c in range(m) if c not in basis)
+    k = [Fraction(0)] * m
+    k[free] = Fraction(1)
+    for r, c in enumerate(basis):
+        k[c] = Fraction(-a[r][free], d)
+    return k
+
+
+def reference_partial_color(vs, kernel=reference_kernel_vector):
+    """(signs, x) by the walk with a fresh elimination per step and
+    Fraction coefficients; `kernel(cols, n)` gives each step's k."""
+    vs = [tuple(v) for v in vs]
+    if not vs:
+        return [], zero(0)
+    n = len(vs[0])
+    big_n = len(vs)
+    lam = [Fraction(0)] * big_n
+    frozen = {}
+    nxt = 0  # next column of vs to enter the active set
+    active = []
+    while True:
+        while nxt < big_n and len(active) < n + 1:
+            active.append(nxt)
+            nxt += 1
+        if len(active) <= n:
+            break
+        k = kernel([vs[j] for j in active], n)
+        step = None
+        for idx, j in enumerate(active):
+            kj = k[idx]
+            if kj == 0:
+                continue
+            t = (1 - lam[j]) / kj if kj > 0 else (-1 - lam[j]) / kj
+            if step is None or t < step:
+                step = t
+        for idx, j in enumerate(active):
+            lam[j] += step * k[idx]
+        newly = [j for j in active if abs(lam[j]) == 1]
+        for j in newly:
+            frozen[j] = int(lam[j])
+        active = [j for j in active if j not in frozen]
+    for j in active:
+        frozen[j] = 1 if lam[j] >= 0 else -1
+    signs = [frozen[j] for j in range(big_n)]
+    x = zero(n)
+    for s, v in zip(signs, vs):
+        x = vadd(x, smul(s, v))
+    # greedy descent on the max-norm
+    improved = True
+    while improved:
+        improved = False
+        cur = max(abs(a) for a in x)
+        for j in range(big_n):
+            cand = vsub(x, smul(2 * signs[j], vs[j]))
+            if max(abs(a) for a in cand) < cur:
+                x = cand
+                signs[j] = -signs[j]
+                improved = True
+                break
+    return signs, x
+
+
+def fraction_kernel_vector(cols, n):
+    """Gauss-Jordan over Fractions with the reference's pivot columns;
+    also returns the rank and whether a row swap was needed."""
+    m = len(cols)
+    a = [[Fraction(cols[j][i]) for j in range(m)] for i in range(n)]
+    basis = []
+    swapped = False
+    for col in range(m):
+        row = len(basis)
+        sel = next((r for r in range(row, n) if a[r][col] != 0), None)
+        if sel is None:
+            continue
+        swapped |= sel != row
+        a[row], a[sel] = a[sel], a[row]
+        basis.append(col)
+        a[row] = [x / a[row][col] for x in a[row]]
+        for i in range(n):
+            if i != row and a[i][col] != 0:
+                fac = a[i][col]
+                a[i] = [x - fac * y for x, y in zip(a[i], a[row])]
+        if len(basis) == n:
+            break
+    free = next(c for c in range(m) if c not in basis)
+    k = [Fraction(0)] * m
+    k[free] = Fraction(1)
+    for r, c in enumerate(basis):
+        k[c] = -a[r][free]
+    return k, len(basis), swapped
+
+
+def test_partial_color_matches_reference_seeded(monkeypatch):
+    # n + 1 columns, so that the first step's direction is the kernel
+    # vector of all of them, checked against Fraction elimination
+    pivots = []
+    tally = {"deficient": 0, "swapped": 0, "negative": 0}
+
+    def recording_pivot(tab, basis, r, c, d):
+        pivots.append(tab[r][c])
+        return lp_pivot(tab, basis, r, c, d)
+
+    def checked_kernel(cols, n):
+        k = reference_kernel_vector(cols, n)
+        ref, rank, swap = fraction_kernel_vector(cols, n)
+        assert k == ref, cols
+        for i in range(n):
+            assert sum(kj * col[i] for kj, col in zip(k, cols)) == 0
+        tally["deficient"] += rank < n
+        tally["swapped"] += swap
+        return k
+
+    lp_pivot = lp.pivot
+    monkeypatch.setattr(lp, "pivot", recording_pivot)
+    rng = random.Random(7003)
+    for trial in range(300):
+        n = 1 + trial % 7
+        cols = [tuple(rng.choice((-1, 1)) for _ in range(n))
+                for _ in range(n + 1)]
+        if trial % 3 == 0:
+            # repeated and negated columns drop the rank
+            for j in range(1, n + 1):
+                if rng.random() < 0.5:
+                    src = cols[rng.randrange(j)]
+                    cols[j] = src if rng.random() < 0.5 else vneg(src)
+        del pivots[:]
+        got = partial_color(cols)
+        # a negative pivot leaves the kept echelon's d < 0
+        tally["negative"] += any(p < 0 for p in pivots)
+        assert got == reference_partial_color(cols, checked_kernel), cols
+    assert min(tally.values()) > 30, tally
+
+
+def test_partial_color_matches_reference_property():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+
+    @st.composite
+    def vector_lists(draw):
+        n = draw(st.integers(1, 9))
+        size = draw(st.integers(0, 60))
+        base = draw(st.lists(st.tuples(*[st.sampled_from((1, -1))] * n),
+                             min_size=1, max_size=20))
+        # picks of the base vectors and their negations, so that vectors
+        # repeat and negate
+        picks = draw(st.lists(st.integers(0, 2 * len(base) - 1),
+                              min_size=size, max_size=size))
+        return [base[i // 2] if i % 2 else vneg(base[i // 2])
+                for i in picks]
+
+    @hypothesis.settings(max_examples=200, deadline=None,
+                         derandomize=True, database=None)
+    @hypothesis.given(vector_lists())
+    def check(vs):
+        assert partial_color(vs) == reference_partial_color(vs)
+
+    check()
+
+
+def test_partial_color_matches_reference_pipeline_n14(monkeypatch):
+    inputs = []
+
+    def recording(vs):
+        inputs.append(list(vs))
+        return real(vs)
+
+    real = balance.partial_color
+    monkeypatch.setattr(balance, "partial_color", recording)
+    balance_middle(14)
+    (vs,) = inputs
+    assert len(vs) == 1533
+    assert real(vs) == reference_partial_color(vs)
 
 
 def test_greedy_pairs():

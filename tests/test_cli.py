@@ -236,6 +236,8 @@ def test_output_independent_of_hash_seed(tmp_path):
          "--dump"],
         ["witness", "--family", str(fam_path), "--set", str(set_path)],
         ["signs", "--middle", "8"],
+        # n = 14 takes the partial-coloring pipeline
+        ["signs", "--middle", "14"],
         ["coloring", "--m", "3"],
         ["simulate", "--n", "4", "--rounds", "200", "--seed", "1"],
     ]

@@ -4,7 +4,7 @@ from itertools import combinations
 
 import pytest
 
-from balgame import balance, lp
+from balgame import lp
 
 
 def solve_exact(rows, rhs):
@@ -237,63 +237,3 @@ def test_feasible_combination_matches_fraction_tableau():
                 assert_certificate(points, q, lam)
                 inside += 1
     assert inside > 600
-
-
-def ref_kernel_vector(cols, n):
-    """Gauss-Jordan over Fractions with the same pivot columns; also
-    returns the rank and whether a row swap was needed."""
-    m = len(cols)
-    a = [[Fraction(cols[j][i]) for j in range(m)] for i in range(n)]
-    basis = []
-    swapped = False
-    for col in range(m):
-        row = len(basis)
-        sel = next((r for r in range(row, n) if a[r][col] != 0), None)
-        if sel is None:
-            continue
-        swapped |= sel != row
-        a[row], a[sel] = a[sel], a[row]
-        basis.append(col)
-        ref_pivot(a, basis, row, col)
-        if len(basis) == n:
-            break
-    free = next(c for c in range(m) if c not in basis)
-    k = [Fraction(0)] * m
-    k[free] = Fraction(1)
-    for r, c in enumerate(basis):
-        k[c] = -a[r][free]
-    return k, len(basis), swapped
-
-
-def test_kernel_vector_matches_fraction_elimination(monkeypatch):
-    pivots = []
-
-    def recording_pivot(tab, basis, r, c, d):
-        pivots.append(tab[r][c])
-        return lp_pivot(tab, basis, r, c, d)
-
-    lp_pivot = lp.pivot
-    monkeypatch.setattr(lp, "pivot", recording_pivot)
-    rng = random.Random(7003)
-    deficient = swapped = negative = 0
-    for trial in range(300):
-        n = 1 + trial % 7
-        cols = [tuple(rng.choice((-1, 1)) for _ in range(n))
-                for _ in range(n + 1)]
-        if trial % 3 == 0:
-            # repeated and negated columns drop the rank
-            for j in range(1, n + 1):
-                if rng.random() < 0.5:
-                    src = cols[rng.randrange(j)]
-                    cols[j] = src if rng.random() < 0.5 else \
-                        tuple(-a for a in src)
-        del pivots[:]
-        k = balance._kernel_vector(cols, n)
-        ref, rank, swap = ref_kernel_vector(cols, n)
-        assert k == ref, cols
-        for i in range(n):
-            assert sum(kj * col[i] for kj, col in zip(k, cols)) == 0
-        deficient += rank < n
-        swapped += swap
-        negative += any(p < 0 for p in pivots)
-    assert min(deficient, swapped, negative) > 30
