@@ -14,7 +14,7 @@ from fractions import Fraction
 from functools import cache
 from itertools import combinations
 from math import comb, gcd
-from operator import mul
+from operator import countOf, itemgetter, mul
 
 from . import lp
 from .core import (SignAssignment, SizeLimitError, VectorFamily,
@@ -38,8 +38,9 @@ class UnsatisfiableError(RuntimeError):
 
 # The largest n the constructions finish in under a minute (2-vCPU Xeon,
 # Python 3.11): balance_middle(20) takes about 9-10 s and
-# chooser_translate(21) about 6-7 s, while n = 22 has a middle layer of
-# C(21, 11) = 352716 vectors, about four times that of n = 20.
+# chooser_translate(21) about 4-5.5 s and 286 MB, while n = 22 has a
+# middle layer of C(21, 11) = 352716 vectors, about four times that of
+# n = 20.
 N_LIMIT = 21
 
 
@@ -141,17 +142,27 @@ def _search_reps(reps, target, node_budget=4 * 10 ** 6):
     depth-first backtracking, sign +1 before -1.  Every node entered,
     the root included, counts against `node_budget`.
 
-    All reps are +-1 vectors, so a step moves each residual r_i (what
-    remains of target_i) by exactly one and the count rem of vectors
-    left by one.  That makes both prunes exact:
+    All reps are +-1 vectors.  At a node with rem vectors left, r what
+    remains of the target, and a_ij, b_ij the numbers of vectors left
+    with v_i = v_j and with v_i != v_j, each vector left adds +-2 or 0
+    to r_i + r_j (+-2 iff v_i = v_j) and to r_i - r_j (+-2 iff
+    v_i != v_j).  So every solution below the node needs
+    |r_i + r_j| <= 2 a_ij and |r_i - r_j| <= 2 b_ij, and a node that
+    breaks one is pruned.  Both prunes are exact, so they drop no
+    solution and the first one found is the unpruned search's:
     - parity: r_i - rem mod 2 is the same at every node of a path, so
       it is tested once, at the root;
-    - interval: |r_i| <= rem, that is rem + r_i >= 0 and rem - r_i >= 0.
-      One int holds these 2n values, a lane each with an offset and a
-      guard bit, and a node passes iff every guard bit is set.  Sign s
-      on v lowers rem + r_i by 1 + s*v_i and rem - r_i by 1 - s*v_i,
-      each 0 or 2, so a child is its parent minus a per-depth delta.
-      At depth k the test is r = 0, a solution.
+    - pair bounds: one int holds three n x n blocks of lanes, lane (i, j)
+      2a_ij + r_i + r_j in the first, 2a_ij - r_i - r_j in the second
+      and 2b_ij + r_i - r_j in the third, which with lane (j, i) bounds
+      both signs of r_i - r_j.  Each lane has an offset and a guard bit,
+      and a node passes iff every guard bit is set.  On the diagonal,
+      a_ii = rem: the first two blocks hold 2(rem +- r_i), the interval
+      bound |r_i| <= rem, which at depth k forces r = 0.
+    Sign s on v lowers lane (i, j) by 4 where (s v_i, s v_j) is (+1, +1)
+    in the first block, (-1, -1) in the second and (+1, -1) in the
+    third, and leaves every other lane as it is, so a child is its
+    parent minus a per-depth delta.
     """
     n = len(target)
     k = len(reps)
@@ -159,20 +170,40 @@ def _search_reps(reps, target, node_budget=4 * 10 ** 6):
         raise UnsatisfiableError("node budget exhausted")
     if any(abs(t) > k or (t - k) % 2 for t in target):
         return None
-    # lane values stay in [-2, 2k]: a child of a passing node drops a
-    # lane by at most 2 below 0, and the root's two lanes add up to 2k
-    offset = (2 * k).bit_length()
+    # lane values stay in [-2k, 4k]: a root lane is 2a_ij or 2b_ij plus
+    # t_i +- t_j with |t_i| <= k, the lanes (i, j) of the first two
+    # blocks add up to 4a_ij <= 4k and those at (i, j) and (j, i) of the
+    # third to 4b_ij, and a child of a passing node drops a lane by at
+    # most 4 below 0
+    offset = (4 * k).bit_length()
     width = offset + 1
-    guard = sum(1 << width * i + offset for i in range(2 * n))
-    state = guard + sum((k + t) << width * i | (k - t) << width * (n + i)
-                        for i, t in enumerate(target))
+    block = width * n * n
+    lane = [1 << width * i for i in range(n * n)]
+    ones = sum(lane)
+    guard = (ones | ones << block | ones << 2 * block) << offset
+    cols = [4 * c for c in lane[:n]]  # 4 in lane (0, j)
+    rows = lane[::n]  # 1 in lane (i, 0)
+    all_cols = sum(cols)
+    all_rows = sum(rows)
     plus = []  # plus[j]: the delta of sign +1 on reps[j]
     minus = []
     for v in reps:
-        up = sum(2 << width * i for i, a in enumerate(v) if a == 1)
-        down = sum(2 << width * i for i, a in enumerate(v) if a == -1)
-        plus.append(up | down << width * n)
-        minus.append(down | up << width * n)
+        up_c = sum(c for c, a in zip(cols, v) if a == 1)
+        up_r = sum(r for r, a in zip(rows, v) if a == 1)
+        down_c = all_cols - up_c
+        down_r = all_rows - up_r
+        uu = up_r * up_c
+        dd = down_r * down_c
+        plus.append(uu | dd << block | up_r * down_c << 2 * block)
+        minus.append(dd | uu << block | down_r * up_c << 2 * block)
+    # the deltas of both signs on every rep add 4a_ij to the first two
+    # blocks and 4b_ij to the third
+    state = guard + (sum(plus) + sum(minus) >> 1)
+    for i, ti in enumerate(target):
+        for j, tj in enumerate(target):
+            c = lane[n * i + j]
+            state += ((ti + tj) * c - ((ti + tj) * c << block)
+                      + ((ti - tj) * c << 2 * block))
     signs = [0] * k
     states = [0] * k  # states[j]: the node at depth j on the current path
     nodes = 1
@@ -674,9 +705,10 @@ def chooser_translate(n):
     s0 = tuple(v for v in f if sum(v) > 0 or mid.get(v) == 1)
     if vadd(t, map(sum, zip(*s0))) != zero(n):
         raise ConstructionError("origin identity failed for n=%d" % n)
-    # coordinate bound: max over t+P(V) of coordinate i must be <= M
+    # coordinate bound: max over t+P(V) of coordinate i must be <= M;
+    # canonical entries are +-1, so the positive part counts the +1s
     for i in range(n):
-        peak = t[i] + sum(v[i] for v in f if v[i] > 0)
+        peak = t[i] + countOf(map(itemgetter(i), f.members), 1)
         if peak > m:
             raise ConstructionError(
                 "translate exceeds the region in coordinate %d" % i)

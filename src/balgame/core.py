@@ -10,7 +10,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import product
-from operator import add, mul, neg, sub
+from operator import add, itemgetter, mul, neg, sub
 
 MAX_DIM = 24  # widths go up to 2^n; reject anything wider than desk scale
 PSUM_CAP = 10 ** 7  # most subset sums enumerate_psum builds
@@ -74,15 +74,16 @@ class VectorFamily:
     def __post_init__(self):
         if self.dim < 1:
             raise DimensionError("dimension must be >= 1, got %d" % self.dim)
-        for v in self.members:
-            if len(v) != self.dim:
-                raise DimensionError("member %s has wrong dimension" % (v,))
+        # each check runs as one C-level pass; only a failed one looks for
+        # the first offending member, to name it
+        if any(map(self.dim.__ne__, map(len, self.members))):
+            v = next(v for v in self.members if len(v) != self.dim)
+            raise DimensionError("member %s has wrong dimension" % (v,))
         if len(set(self.members)) != len(self.members):
             raise ValueError("duplicate members in family")
         if self.strict:
-            for v in self.members:
-                if all(a == 0 for a in v):
-                    raise ValueError("zero vector in strict family")
+            if not all(map(any, self.members)):
+                raise ValueError("zero vector in strict family")
             # the pairwise test is quadratic; run it eagerly only at desk
             # size (larger strict families come from constructors whose
             # members are non-parallel by construction; validate() is
@@ -174,10 +175,8 @@ def canonical_family(n):
 
 
 def family_sum(f):
-    total = zero(f.dim)
-    for v in f:
-        total = vadd(total, v)
-    return total
+    """The member sum, one coordinate at a time."""
+    return tuple(sum(map(itemgetter(i), f.members)) for i in range(f.dim))
 
 
 def center(f):

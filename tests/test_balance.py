@@ -121,10 +121,12 @@ def test_search_signs_budget_exhausted(monkeypatch):
         search_signs(selfneg, zero(n))
 
 
-def reference_search_reps(reps, target):
+def reference_search_reps(reps, target, pair_bounds=False):
     """The recursive search `_search_reps` replaces: (signs or None, nodes
     visited).  Every node tests the interval and parity of each residual
-    coordinate, one Python loop each over n."""
+    coordinate, one Python loop each over n.  With `pair_bounds` it also
+    tests |r_i + r_j| <= 2a_ij and |r_i - r_j| <= 2b_ij for i < j, with
+    a_ij and b_ij counted over the vectors left, as `_search_reps` does."""
     n = len(target)
     k = len(reps)
     partial = list(target)
@@ -137,6 +139,13 @@ def reference_search_reps(reps, target):
             r = partial[i]
             if abs(r) > rem or (r - rem) % 2 != 0:
                 return False
+        if pair_bounds:
+            for i in range(n):
+                for j in range(i + 1, n):
+                    a = sum(v[i] == v[j] for v in reps[depth:])
+                    if (abs(partial[i] + partial[j]) > 2 * a
+                            or abs(partial[i] - partial[j]) > 2 * (rem - a)):
+                        return False
         return True
 
     def go(depth):
@@ -162,13 +171,21 @@ def reference_search_reps(reps, target):
 
 
 def assert_search_matches_reference(reps, target):
-    """Same signs as the reference, and the reference's node count is
-    exactly the smallest budget that lets the search finish."""
-    want, nodes = reference_search_reps(reps, target)
+    """Same signs as the interval-only reference, and the pair-bound
+    reference's node count is exactly the smallest budget that lets the
+    search finish."""
+    want, _nodes = reference_search_reps(reps, target)
+    pruned, nodes = reference_search_reps(reps, target, pair_bounds=True)
+    assert pruned == want
     assert balance._search_reps(reps, target, node_budget=nodes) == want
     with pytest.raises(UnsatisfiableError, match="node budget"):
         balance._search_reps(reps, target, node_budget=nodes - 1)
     return want, nodes
+
+
+def self_negating_reps(n):
+    return balance._pack_pairs([v for o in orbit_decompose(n)
+                                if o.self_negating for v in o.members])
 
 
 def test_search_reps_matches_reference_small_path():
@@ -177,15 +194,24 @@ def test_search_reps_matches_reference_small_path():
     # first, which is reachable), the zero target otherwise
     first_nodes = {}
     for n in (4, 6, 8, 10):
-        selfneg = [v for o in orbit_decompose(n) if o.self_negating
-                   for v in o.members]
-        reps = balance._pack_pairs(selfneg)
+        reps = self_negating_reps(n)
         targets = (list(balance._pow2_defect_candidates(n)) if n in (4, 8)
                    else [zero(n)])
         results = [assert_search_matches_reference(reps, t) for t in targets]
         assert results[0][0] is not None, n
         first_nodes[n] = results[0][1]
-    assert first_nodes == {4: 7, 6: 9, 8: 52, 10: 249}
+    # the interval-only search visits {4: 7, 6: 9, 8: 52, 10: 249}
+    assert first_nodes == {4: 7, 6: 7, 8: 18, 10: 31}
+
+
+def test_search_reps_n12_nodes_pinned():
+    # balance_middle(12)'s search: 3901 nodes, against 418,837 with the
+    # interval bound alone; test_balance_middle_search_pinned pins its
+    # signs
+    reps = self_negating_reps(12)
+    assert balance._search_reps(reps, zero(12), node_budget=3901) is not None
+    with pytest.raises(UnsatisfiableError, match="node budget"):
+        balance._search_reps(reps, zero(12), node_budget=3900)
 
 
 def test_search_reps_matches_reference_property():

@@ -42,6 +42,15 @@ def test_canonical_family_errors():
         canonical_family(25)
 
 
+def test_family_errors_name_first_bad_member():
+    with pytest.raises(DimensionError,
+                       match=r"^member \(1,\) has wrong dimension$"):
+        VectorFamily(2, ((1, 1), (1,), (1, 2, 3)))
+    with pytest.raises(ValueError, match="^zero vector in strict family$"):
+        VectorFamily(2, ((1, 1), (0, 0)))
+    assert len(VectorFamily(2, ((1, 1), (0, 0)), strict=False)) == 2
+
+
 def test_family_sum_and_center():
     assert family_sum(canonical_family(3)) == (4, 0, 0)
     empty = VectorFamily(2, ())
