@@ -4,9 +4,11 @@ Builds Chooser's explicit translate for every n up to N_LIMIT: majority
 signs off the middle layer, and a balanced signing of the middle layer
 itself.  The middle-layer signing goes through either a rotation-orbit
 decomposition plus a backtracking search, exact for +-1 vectors (small
-n), or a greedy pair system, an exact partial coloring, and a pair-wise
-expression step (large n).  The coloring's kernel vectors come from
-one fraction-free echelon, kept across the walk with `lp.pivot`.
+n), or, for large n, a greedy pair system, an exact partial coloring of
+the rest with signed sum x, and a correction that signs the pair system
+in integers so that its signed sum is y = defect - x.  The coloring's
+kernel vectors come from one fraction-free echelon, kept across the
+walk with `lp.pivot`.
 """
 
 from dataclasses import dataclass
@@ -18,8 +20,8 @@ from operator import countOf, itemgetter, mul
 
 from . import lp
 from .core import (SignAssignment, SizeLimitError, VectorFamily,
-                   canonical_family, canonical_members, center,
-                   lattice_member, smul, vadd, vneg, vsub, zero)
+                   canonical_family, canonical_members, center, smul,
+                   vadd, vneg, vsub, vsum, zero)
 from .threshold import critical_M, is_power_of_two
 
 
@@ -38,7 +40,7 @@ class UnsatisfiableError(RuntimeError):
 
 # The largest n the constructions finish in under a minute (2-vCPU Xeon,
 # Python 3.11): balance_middle(20) takes about 9-10 s and
-# chooser_translate(21) about 4-5.5 s and 286 MB, while n = 22 has a
+# chooser_translate(21) about 5.3-5.8 s and 282 MB, while n = 22 has a
 # middle layer of C(21, 11) = 352716 vectors, about four times that of
 # n = 20.
 N_LIMIT = 21
@@ -113,10 +115,7 @@ def orbit_decompose(n):
         k = cyc.index(rep)
         cyc = cyc[k:] + cyc[:k]
         seen.update(cyc)
-        total = zero(n)
-        for c in cyc:
-            total = vadd(total, c)
-        if total != zero(n):
+        if vsum(cyc, n) != zero(n):
             raise ConstructionError("orbit of %s does not sum to 0" % (v,))
         orbits.append(Orbit(rep, tuple(cyc), vneg(rep) in cyc))
     orbits.sort(key=lambda o: o.representative)
@@ -253,10 +252,7 @@ def search_signs(vs, target):
     for r, s in zip(reps, signs):
         out[r] = s
         out[vneg(r)] = -s
-    total = zero(len(target))
-    for v in vs:
-        total = vadd(total, smul(out[v], v))
-    if total != tuple(target):
+    if vsum(vs, len(target), [out[v] for v in vs]) != tuple(target):
         raise ConstructionError("sign search postcondition failed")
     return out
 
@@ -479,9 +475,7 @@ def partial_color(vs):
             basis = [b if b is None or b < c else b - 1 for b in basis]
     for j, num in zip(active, lam):
         signs[j] = 1 if num >= 0 else -1
-    x = zero(n)
-    for s, v in zip(signs, vs):
-        x = vadd(x, v) if s == 1 else vsub(x, v)
+    x = vsum(vs, n, signs)
     # greedy descent on the max-norm; up[j]: where s_j v_j is +1
     up = [sum(1 << i for i, a in enumerate(v) if a == s)
           for s, v in zip(signs, vs)]
@@ -504,67 +498,42 @@ def partial_color(vs):
 
 # --- expression in a pair system ---------------------------------------
 
-def pair_system_center(ps):
-    total = zero(ps.n)
-    for v in ps.vectors():
-        total = vadd(total, v)
-    return tuple(Fraction(a, 2) for a in total)
+def express_in_pairs(y, ps):
+    """Signs {u: +-1} over `ps.vectors()` with signed sum y.
 
-
-def express_in_pairs(target, ps):
-    """Subset of the pair system's vectors summing to `target`.
-
-    Works through the normal form a_2(e1-e2)+...+a_n(e1-en) +- w/2 of
-    target - g(U): the w sign is forced by parity, each a_i is read off
-    coordinate i, and (R+a_i)/2 pairs get the positive orientation.
+    Pair (i, j) signed +1 on v_plus and -1 on v_minus adds
+    v_plus - v_minus = 2(e1 - ei), signed the other way its negative,
+    and w adds s*w.  With c_i = s*w_i - y_i, coordinate i >= 2 comes out
+    right when the first (2R + c_i)/4 pairs of coordinate i take +1 on
+    v_plus and the rest -1, which needs c_i = 2R mod 4 and
+    |c_i| <= 2R.  As w_i is odd, at most one s in (1, -1) meets the
+    first; coordinate 1 then holds because sum(y) = sum(w) = 0.
     """
     n, big_r = ps.n, ps.R
-    target = tuple(target)
-    int_target = []
-    for a in target:
-        fa = Fraction(a)
-        if fa.denominator != 1:
-            raise NotExpressibleError("target is not a lattice point")
-        int_target.append(int(fa))
-    int_target = tuple(int_target)
-    if not lattice_member(int_target):
-        raise NotExpressibleError("target %s not in the middle-layer lattice"
-                                  % (int_target,))
-    gu = pair_system_center(ps)
-    t0 = tuple(Fraction(a) - b for a, b in zip(int_target, gu))
-    solution = None
+    y = tuple(y)
+    if len(y) != n or sum(y) != 0:
+        raise NotExpressibleError("correction %s does not sum to 0" % (y,))
     for s in (1, -1):
-        q = tuple(a - Fraction(s * c, 2) for a, c in zip(t0, ps.w))
-        coeffs = [-q[i] for i in range(1, n)]  # a_i for i = 2..n
-        if any(c.denominator != 1 for c in coeffs):
-            continue
-        coeffs = [int(c) for c in coeffs]
-        if q[0] != sum(coeffs):
-            continue
-        if any(abs(c) > big_r or (c - big_r) % 2 != 0 for c in coeffs):
-            continue
-        solution = (s, coeffs)
-        break
-    if solution is None:
+        c = [s * wi - yi for wi, yi in zip(ps.w[1:], y[1:])]
+        if all((ci - 2 * big_r) % 4 == 0 and abs(ci) <= 2 * big_r
+               for ci in c):
+            break
+    else:
         raise NotExpressibleError(
-            "target %s outside the expressible range of the pair system"
-            % (int_target,))
-    s, coeffs = solution
-    subset = []
-    for i in range(2, n + 1):
-        a_i = coeffs[i - 2]
-        npos = (big_r + a_i) // 2
+            "correction %s outside the expressible range of the pair system"
+            % (y,))
+    eps = {}
+    for i, ci in enumerate(c, 2):
+        npos = (2 * big_r + ci) // 4
         for j in range(1, big_r + 1):
             vp, vm = ps.pairs[(i, j)]
-            subset.append(vp if j <= npos else vm)
-    if s == 1:
-        subset.append(ps.w)
-    total = zero(n)
-    for v in subset:
-        total = vadd(total, v)
-    if total != int_target:
-        raise ConstructionError("expressed subset does not sum to target")
-    return subset
+            eps[vp] = 1 if j <= npos else -1
+            eps[vm] = -eps[vp]
+    eps[ps.w] = s
+    vs = ps.vectors()
+    if vsum(vs, n, [eps[u] for u in vs]) != y:
+        raise ConstructionError("pair signs do not sum to the correction")
+    return eps
 
 
 # --- middle-layer balancing --------------------------------------------
@@ -619,24 +588,18 @@ def _balance_small(n):
 
 def _balance_pipeline(v0, R, defect):
     """Greedy pairs + partial coloring + pair expression (large n), over
-    the middle layer v0."""
+    the middle layer v0.  A pair-system vector u with u_1 = -1 is the
+    negative of the middle-layer member -u, which takes its sign negated."""
     ps = greedy_pairs(v0.dim, R)
-    class_of = {}
-    for u in ps.vectors():
-        rep = u if u[0] == 1 else vneg(u)
-        class_of[rep] = u
-    rest = [v for v in v0 if v not in class_of]
+    taken = {u if u[0] == 1 else vneg(u) for u in ps.vectors()}
+    rest = [v for v in v0 if v not in taken]
     pc_signs, x = partial_color(rest)
-    y = vsub(defect, x)
-    gu = pair_system_center(ps)
-    target = tuple(g + Fraction(a, 2) for g, a in zip(gu, y))
-    subset = set(express_in_pairs(target, ps))
-    eps = {}
-    for v, s in zip(rest, pc_signs):
-        eps[v] = s
-    for rep, u in class_of.items():
-        chosen = u if u in subset else vneg(u)
-        eps[rep] = 1 if chosen == rep else -1
+    eps = dict(zip(rest, pc_signs))
+    for u, e in express_in_pairs(vsub(defect, x), ps).items():
+        if u[0] == 1:
+            eps[u] = e
+        else:
+            eps[vneg(u)] = -e
     return eps, defect
 
 
@@ -703,7 +666,7 @@ def chooser_translate(n):
     t = tuple(-gi - half_c + Fraction(si, 2)
               for gi, si in zip(center(f), shift))
     s0 = tuple(v for v in f if sum(v) > 0 or mid.get(v) == 1)
-    if vadd(t, map(sum, zip(*s0))) != zero(n):
+    if vadd(t, vsum(s0, n)) != zero(n):
         raise ConstructionError("origin identity failed for n=%d" % n)
     # coordinate bound: max over t+P(V) of coordinate i must be <= M;
     # canonical entries are +-1, so the positive part counts the +1s

@@ -11,8 +11,7 @@ import sys
 
 from . import balance, coloring, fixtures, game, threshold, witness
 from .core import (SizeLimitError, canonical_family, format_pointset,
-                   parse_family, parse_pointset, smul, vadd, vector_to_bits,
-                   zero)
+                   parse_family, parse_pointset, vector_to_bits, vsum, zero)
 
 
 def _emit(args, payload, text_fn):
@@ -67,9 +66,8 @@ def cmd_signs(args):
     table = fixtures.format_sign_table(rows)
     if args.verify:
         # re-add the rows as printed, not the construction's own sum
-        total = zero(n)
-        for s, v in fixtures.parse_sign_table(table):
-            total = vadd(total, smul(s, v))
+        printed = fixtures.parse_sign_table(table)
+        total = vsum([v for _, v in printed], n, [s for s, _ in printed])
         if list(total) != reported:
             print("sign table FAILED verification: rows sum to %s, not %s"
                   % (list(total), reported), file=sys.stderr)

@@ -10,6 +10,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import product
+from math import gcd
 from operator import add, itemgetter, mul, neg, sub
 
 MAX_DIM = 24  # widths go up to 2^n; reject anything wider than desk scale
@@ -54,6 +55,28 @@ def zero(n):
     return (0,) * n
 
 
+def vsum(vectors, n, signs=None):
+    """The sum of a sequence of n-vectors, or with `signs` the signed
+    sum of signs[k] * vectors[k]; one C-level pass per coordinate, with
+    no transpose, so both must be sequences (or sets), not iterators."""
+    if signs is None:
+        return tuple(sum(map(itemgetter(i), vectors)) for i in range(n))
+    return tuple(sum(map(mul, signs, map(itemgetter(i), vectors)))
+                 for i in range(n))
+
+
+def direction(v):
+    """The primitive vector along a nonzero v: v over the gcd of its
+    entries, signed so that its first nonzero entry is positive.  Two
+    nonzero vectors are parallel iff their directions are equal."""
+    g = gcd(*v)
+    if g == 1 and v[0] > 0:  # the common case: v is its own direction
+        return v
+    if next(filter(None, v)) < 0:
+        g = -g
+    return tuple(a // g for a in v)
+
+
 def is_parallel(u, v):
     """Exact parallelism test: u_i v_j == u_j v_i for all i < j."""
     n = len(u)
@@ -74,31 +97,35 @@ class VectorFamily:
     def __post_init__(self):
         if self.dim < 1:
             raise DimensionError("dimension must be >= 1, got %d" % self.dim)
-        # each check runs as one C-level pass; only a failed one looks for
-        # the first offending member, to name it
-        if any(map(self.dim.__ne__, map(len, self.members))):
-            v = next(v for v in self.members if len(v) != self.dim)
-            raise DimensionError("member %s has wrong dimension" % (v,))
-        if len(set(self.members)) != len(self.members):
-            raise ValueError("duplicate members in family")
-        if self.strict:
-            if not all(map(any, self.members)):
-                raise ValueError("zero vector in strict family")
-            # the pairwise test is quadratic; run it eagerly only at desk
-            # size (larger strict families come from constructors whose
-            # members are non-parallel by construction; validate() is
-            # available for an explicit check)
-            if len(self.members) <= 256:
-                self.validate()
-
-    def validate(self):
+        # the checks run as whole-family passes; only a failed one looks
+        # for the first offending member, to name it
         ms = self.members
-        for i in range(len(ms)):
-            for j in range(i + 1, len(ms)):
-                if is_parallel(ms[i], ms[j]):
-                    raise ValueError(
-                        "parallel members %s, %s" % (ms[i], ms[j]))
-        return True
+        if any(map(self.dim.__ne__, map(len, ms))):
+            v = next(v for v in ms if len(v) != self.dim)
+            raise DimensionError("member %s has wrong dimension" % (v,))
+        if self.strict:
+            # one direction per member rules out duplicates and parallels
+            ok = (all(map(any, ms))
+                  and len(set(map(direction, ms))) == len(ms))
+        else:
+            ok = len(set(ms)) == len(ms)
+        if not ok:
+            self._reject()
+
+    def _reject(self):
+        """Raise for the first failed check, in the order duplicate,
+        zero vector, parallel pair; the pair named is the first (i, j),
+        i < j, in index order."""
+        ms = self.members
+        if len(set(ms)) != len(ms):
+            raise ValueError("duplicate members in family")
+        if not all(map(any, ms)):
+            raise ValueError("zero vector in strict family")
+        groups = {}
+        for v in ms:
+            groups.setdefault(direction(v), []).append(v)
+        u, v = next(g for g in groups.values() if len(g) > 1)[:2]
+        raise ValueError("parallel members %s, %s" % (u, v))
 
     def __len__(self):
         return len(self.members)
@@ -146,11 +173,7 @@ class SignAssignment:
             raise ValueError("signs must be -1 or +1")
 
     def signed_sum(self):
-        n = self.family.dim
-        total = zero(n)
-        for v, s in zip(self.family.members, self.signs):
-            total = vadd(total, smul(s, v))
-        return total
+        return vsum(self.family.members, self.family.dim, self.signs)
 
 
 def canonical_members(n):
@@ -174,14 +197,9 @@ def canonical_family(n):
                         label="canonical(%d)" % n)
 
 
-def family_sum(f):
-    """The member sum, one coordinate at a time."""
-    return tuple(sum(map(itemgetter(i), f.members)) for i in range(f.dim))
-
-
 def center(f):
     """g(V) = half the member sum, as exact Fractions."""
-    return tuple(Fraction(a, 2) for a in family_sum(f))
+    return tuple(Fraction(a, 2) for a in vsum(f.members, f.dim))
 
 
 def enumerate_psum(f):
@@ -201,25 +219,12 @@ def zonotope_vertex(f, a):
     degenerate = [v for v in f if vdot(a, v) == 0]
     if degenerate:
         raise DegenerateNormalError(degenerate)
-    total = zero(f.dim)
-    for v in f:
-        if vdot(a, v) > 0:
-            total = vadd(total, v)
-    return total
+    return vsum([v for v in f if vdot(a, v) > 0], f.dim)
 
 
 def family_width(f, i):
     """Width of P(V) in direction e_i: sum of |v_i| over members."""
     return sum(abs(v[i]) for v in f)
-
-
-def lattice_member(u):
-    """Membership in the middle-layer lattice L: coordinate sum 0 and
-    all coordinates of the same parity."""
-    if sum(u) != 0:
-        return False
-    parities = {a % 2 for a in u}
-    return len(parities) <= 1
 
 
 # --- family file format -------------------------------------------------

@@ -27,7 +27,7 @@ from itertools import (accumulate, chain, compress, count, product,
 from operator import le, setitem
 
 from .core import (DimensionError, PointSet, SizeLimitError, family_width,
-                   vadd, vsub, zero)
+                   vadd, vsub, vsum, zero)
 
 # Kernel memory grows about linearly with the window, and time with the
 # window times the rounds: a canonical(3) verdict cube took 0.3-0.4 s and
@@ -323,10 +323,7 @@ class ChooserEngine:
             raise ValueError("subset member %s not in family" % (stray,))
 
     def position(self):
-        z = self.t
-        for v in self.subset:
-            z = vadd(z, v)
-        return tuple(z)
+        return vadd(self.t, vsum(self.subset, self.family.dim))
 
     def respond(self, v):
         if v in self.subset:

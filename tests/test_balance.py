@@ -12,10 +12,10 @@ from balgame.balance import (NotExpressibleError, UnsatisfiableError,
                              balance_middle, balance_middle_cached,
                              chooser_translate, express_in_pairs,
                              greedy_pairs, middle_layer, odd_signs,
-                             orbit_decompose, pair_system_center,
-                             partial_color, rotate, search_signs)
+                             orbit_decompose, partial_color, rotate,
+                             search_signs)
 from balgame.core import (SizeLimitError, canonical_family, enumerate_psum,
-                          smul, vadd, vneg, vsub, zero)
+                          smul, vadd, vneg, vsub, vsum, zero)
 
 from sign_tables import TABLE_W, fixture_rows
 
@@ -490,11 +490,13 @@ def test_greedy_pairs():
 
 
 def test_express_in_pairs_roundtrip():
-    # every lattice point within +-2 of the center, coordinate by
-    # coordinate, is expressible by one vector of every pair plus w or not
+    # every lattice point within +-2 of the center g, coordinate by
+    # coordinate, is g + y/2 for a correction y the pair system can
+    # sign: one sign per pair vector and one for w
     ps = greedy_pairs(14, 7)
-    g = pair_system_center(ps)
-    vectors = set(ps.vectors())
+    vectors = ps.vectors()
+    sigma = vsum(vectors, 14)
+    g = [Fraction(a, 2) for a in sigma]
     count = 0
     for parity in (0, 1):
         ranges = [[a for a in range(ceil(c - 2), floor(c + 2) + 1)
@@ -502,16 +504,37 @@ def test_express_in_pairs_roundtrip():
         for target in product(*ranges):
             if sum(target) != 0:
                 continue
-            subset = express_in_pairs(target, ps)
-            assert signed_sum([(1, v) for v in subset]) == target
-            chosen = set(subset)
-            assert len(chosen) == len(subset) and chosen <= vectors
+            y = tuple(2 * a - b for a, b in zip(target, sigma))
+            eps = express_in_pairs(y, ps)
+            assert signed_sum([(eps[u], u) for u in vectors]) == y
+            assert len(eps) == len(vectors) and set(eps) == set(vectors)
             for vp, vm in ps.pairs.values():
-                assert (vp in chosen) != (vm in chosen)
+                assert eps[vp] == -eps[vm]
             count += 1
     assert count == 6864
-    with pytest.raises(NotExpressibleError):
-        express_in_pairs((Fraction(1, 2),) * 14, ps)
+
+
+def test_express_in_pairs_rejects():
+    ps = greedy_pairs(14, 7)
+    vectors = ps.vectors()
+    # every pair signed +1 on v_plus, and w +1: each a_i is R
+    eps = {}
+    for vp, vm in ps.pairs.values():
+        eps[vp], eps[vm] = 1, -1
+    eps[ps.w] = 1
+    y = signed_sum([(eps[u], u) for u in vectors])
+    assert express_in_pairs(y, ps) == eps
+    e12 = (1, -1) + (0,) * 12
+    for bad in (
+            vadd(y, (2,) + (0,) * 13),  # sum(y) != 0
+            vadd(y, e12),  # odd entries
+            vadd(y, smul(2, e12)),  # c_2 off by 2 mod 4
+            vadd(y, smul(4, e12)),  # a_2 = R + 2
+    ):
+        with pytest.raises(NotExpressibleError):
+            express_in_pairs(bad, ps)
+    # signed the other way, every a_i is -R, which is in range
+    assert express_in_pairs(vneg(y), ps) == {u: -e for u, e in eps.items()}
 
 
 def test_balance_middle_defects():
@@ -562,6 +585,21 @@ def test_balance_middle_errors():
 
 def test_balance_cache_identity():
     assert balance_middle_cached(6) is balance_middle_cached(6)
+
+
+def test_vsum_matches_signed_sum_loop():
+    rng = random.Random(14)
+    cases = [fixture_rows(n) for n in (4, 6, 8, 10, 12)]
+    cases += [[(rng.choice((1, -1)), tuple(rng.randint(-5, 5)
+                                           for _ in range(n)))
+               for _ in range(rng.randint(1, 30))]
+              for n in range(1, 8) for _ in range(20)]
+    for rows in cases:
+        n = len(rows[0][1])
+        vs = [v for _, v in rows]
+        assert vsum(vs, n, [s for s, _ in rows]) == signed_sum(rows)
+        assert vsum(vs, n) == signed_sum([(1, v) for v in vs])
+    assert vsum([], 5) == zero(5)
 
 
 def test_fixture_tables_regression():

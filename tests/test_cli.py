@@ -9,8 +9,8 @@ import pytest
 import balgame
 from balgame import balance, cli, fixtures, game
 from balgame.cli import main
-from balgame.core import (canonical_family, enumerate_psum, format_family,
-                          format_pointset)
+from balgame.core import (VectorFamily, canonical_family, enumerate_psum,
+                          format_family, format_pointset)
 
 
 def run(capsys, *argv):
@@ -213,6 +213,10 @@ def test_maximal(capsys, tmp_path):
     # along the long side: over the work limit at round 834, not
     # 800000 rounds later (SizeLimitError)
     ("dim 2\n-2,0\n0,1\n-2,-1\n", "0:4;0:799999"),
+    # 257 members, the last parallel to the first (ValueError)
+    pytest.param(format_family(VectorFamily(
+        9, canonical_family(9).members + ((-1,) * 9,), strict=False)),
+        ";".join(["0:1"] * 9), id="parallel-member-257"),
 ])
 def test_maximal_bad_input_is_usage_error(capsys, tmp_path, family, window):
     fam_path = tmp_path / "fam.txt"

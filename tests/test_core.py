@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 from itertools import combinations
 
 import pytest
@@ -7,10 +8,9 @@ from balgame import core
 from balgame.core import (DegenerateNormalError, DimensionError, PointSet,
                           SignAssignment, SizeLimitError, VectorFamily,
                           bits_to_vector, canonical_family, center,
-                          enumerate_psum, family_sum, family_width,
-                          format_family, format_pointset, is_parallel,
-                          lattice_member, parse_family, parse_pointset,
-                          vadd, vsub, zonotope_vertex)
+                          enumerate_psum, family_width, format_family,
+                          format_pointset, is_parallel, parse_family,
+                          parse_pointset, vadd, vsub, vsum, zonotope_vertex)
 
 
 def brute_psum(members):
@@ -51,13 +51,20 @@ def test_family_errors_name_first_bad_member():
     assert len(VectorFamily(2, ((1, 1), (0, 0)), strict=False)) == 2
 
 
-def test_family_sum_and_center():
-    assert family_sum(canonical_family(3)) == (4, 0, 0)
+def test_vsum_and_center():
+    assert vsum(canonical_family(3).members, 3) == (4, 0, 0)
     empty = VectorFamily(2, ())
-    assert family_sum(empty) == (0, 0)
+    assert vsum(empty.members, 2) == (0, 0)
+    assert vsum((), 3, ()) == (0, 0, 0)
     assert center(empty) == (0, 0)
     from balgame.balance import middle_layer
-    assert family_sum(middle_layer(4)) == (3, -1, -1, -1)
+    assert vsum(middle_layer(4).members, 4) == (3, -1, -1, -1)
+    # signed: (1,1,1) - (1,1,-1) + (1,-1,1) - (1,-1,-1) = (0, 0, 4)
+    assert vsum(canonical_family(3).members, 3, (1, -1, 1, -1)) == (0, 0, 4)
+    # a set is summed as it stands, Fractions exactly
+    assert vsum({(1, 2), (3, -4)}, 2) == (4, -2)
+    assert vsum([(Fraction(1, 2), 1)] * 3, 2, [1, 1, -1]) == (
+        Fraction(1, 2), 1)
 
 
 def test_enumerate_psum_n2():
@@ -115,17 +122,10 @@ def test_family_width():
         assert all(family_width(f, i) == 2 ** (n - 1) for i in range(n))
 
 
-def test_lattice_member():
-    assert not lattice_member((2, 0, -2, 1))
-    assert lattice_member((1, 1, -1, -1))
-    assert lattice_member((2, 0, -2, 0))
-    assert not lattice_member((1, 1, -1, 0))
-
-
 def test_psum_symmetry_and_closure():
     for n in (2, 3, 4):
         f = canonical_family(n)
-        sigma = family_sum(f)
+        sigma = vsum(f.members, n)
         pts = enumerate_psum(f).points
         for u in pts:
             assert vsub(sigma, u) in pts
@@ -141,6 +141,57 @@ def test_parallel_detection():
         VectorFamily(2, ((1, 2), (2, 4)))
     with pytest.raises(ValueError):
         VectorFamily(2, ((0, 0), (1, 1)))
+    # past 256 members too: the last is parallel to the first
+    members = canonical_family(9).members + ((-1,) * 9,)
+    assert len(members) == 257
+    with pytest.raises(ValueError, match=r"^parallel members \(1, 1, 1, 1, "
+                       r"1, 1, 1, 1, 1\), \(-1, -1, -1, -1, -1, -1, -1, "
+                       r"-1, -1\)$"):
+        VectorFamily(9, members)
+    # a scaled copy of a member is parallel to it
+    members = canonical_family(9).members + ((3, -3) * 4 + (3,),)
+    with pytest.raises(ValueError, match=r"^parallel members \(1, -1, 1, "):
+        VectorFamily(9, members)
+    assert len(VectorFamily(9, members, strict=False)) == 257
+
+
+def reference_family_error(members, strict=True):
+    """The message the family checks gave when they compared every pair
+    of members, or None for a valid family."""
+    if len(set(members)) != len(members):
+        return "duplicate members in family"
+    if not strict:
+        return None
+    if not all(any(v) for v in members):
+        return "zero vector in strict family"
+    for i in range(len(members)):
+        for j in range(i + 1, len(members)):
+            if is_parallel(members[i], members[j]):
+                return "parallel members %s, %s" % (members[i], members[j])
+    return None
+
+
+def family_error(members, dim, strict=True):
+    try:
+        VectorFamily(dim, tuple(members), strict=strict)
+    except ValueError as exc:
+        return str(exc)
+    return None
+
+
+def test_family_checks_match_pairwise_reference():
+    # small entries, so that duplicates, zeros and parallels all turn up
+    rng = random.Random(20261019)
+    seen = set()
+    for _ in range(3000):
+        dim = rng.randint(1, 3)
+        members = [tuple(rng.randint(-3, 3) for _ in range(dim))
+                   for _ in range(rng.randint(0, 7))]
+        strict = rng.random() < 0.8
+        want = reference_family_error(members, strict)
+        assert family_error(members, dim, strict) == want, members
+        seen.add(want.split()[0] if want else None)
+    assert seen == {None, "duplicate", "zero", "parallel"}
 
 
 def test_sign_assignment():
