@@ -9,9 +9,9 @@ PointSet is a finite set of lattice points of a common dimension.
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import product
+from itertools import product, starmap
 from math import gcd
-from operator import add, itemgetter, mul, neg, sub
+from operator import add, countOf, itemgetter, mul, neg, sub
 
 MAX_DIM = 24  # widths go up to 2^n; reject anything wider than desk scale
 PSUM_CAP = 10 ** 7  # most subset sums enumerate_psum builds
@@ -103,11 +103,16 @@ class VectorFamily:
         if any(map(self.dim.__ne__, map(len, ms))):
             v = next(v for v in ms if len(v) != self.dim)
             raise DimensionError("member %s has wrong dimension" % (v,))
-        if self.strict:
+        if self.strict and not (
+                countOf(starmap(gcd, ms), 1) == len(ms)
+                and min(map(itemgetter(0), ms), default=1) > 0):
             # one direction per member rules out duplicates and parallels
             ok = (all(map(any, ms))
                   and len(set(map(direction, ms))) == len(ms))
         else:
+            # every member of a strict family that passed the C-level
+            # pre-pass (entry gcd 1, first entry > 0) is its own
+            # direction, so the member set is the direction set
             ok = len(set(ms)) == len(ms)
         if not ok:
             self._reject()
@@ -232,16 +237,22 @@ def family_width(f, i):
 # integers or a 0/1 string (0 -> -1, 1 -> +1); with n = 1 every line is
 # one integer, as format_family writes it.
 
+BIT_VALUES = {"0": -1, "1": 1}
+BIT_DIGITS = {-1: "0", 1: "1"}
+
+
 def bits_to_vector(bits):
-    if set(bits) - {"0", "1"}:
-        raise ValueError("not a 0/1 bit string: %r" % (bits,))
-    return tuple(1 if c == "1" else -1 for c in bits)
+    try:
+        return tuple(map(BIT_VALUES.__getitem__, bits))
+    except KeyError:
+        raise ValueError("not a 0/1 bit string: %r" % (bits,)) from None
 
 
 def vector_to_bits(v):
-    if any(a not in (-1, 1) for a in v):
-        raise ValueError("not a +-1 vector: %s" % (v,))
-    return "".join("1" if a == 1 else "0" for a in v)
+    try:
+        return "".join(map(BIT_DIGITS.__getitem__, v))
+    except KeyError:
+        raise ValueError("not a +-1 vector: %s" % (v,)) from None
 
 
 def parse_family(text, label=""):

@@ -7,9 +7,12 @@ subset.  One bitset kernel computes it for every cell of a finite
 window, where out-of-window counts as gone: the origin survives iff
 Chooser can win inside the window, and deletion rounds give Pusher a
 rank-decreasing strategy.  The kernel turns its bitsets back into points
-without running Python per cell: each removed cell's round and member
-are one code kept in bit planes, `format` spreads the planes to one lane
+without running Python per cell: `format` spreads a bitset to one lane
 per cell, and `itertools.product` streams the cells against the lanes.
+It builds the safe set at once; each removed cell's round and member
+are one code kept in bit planes, and the certificate decodes Pusher's
+rank table from them on first read, so a verdict that only asks
+whether the origin survives never builds it.
 
 `simulate` plays the game itself: each round asks Pusher for a member,
 asks Chooser for a sign and steps by one `vadd` or `vsub`, so a round
@@ -22,8 +25,10 @@ from array import array
 from collections import Counter, deque
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from itertools import (accumulate, chain, compress, count, product,
                        repeat)
+from math import prod
 from operator import le, setitem
 
 from .core import (DimensionError, PointSet, SizeLimitError, family_width,
@@ -103,20 +108,71 @@ class Window:
         return all(map(le, self.lo, z)) and all(map(le, z, self.hi))
 
 
+def spread(x, size, encoding):
+    """The low `size` bits of x, highest cell first, one lane per cell."""
+    return format(x, "0%db" % size).encode(encoding).translate(DIGIT_VALUES)
+
+
 @dataclass
 class SafeSetCertificate:
+    """The deletion kernel's answer on a window: the safe set, the
+    number of rounds that removed a cell, and Pusher's rank table
+    `rank`, decoded from the kernel's code planes on first read."""
     window: Window
     family: object
     safe: PointSet
-    rank: dict  # removed point -> (round, witnessing member)
+    rounds: int  # deletion rounds that removed a cell
+    # (code planes, code -> (round, member), padded ranges) until `rank`
+    # is read, then None
+    codes: tuple = field(repr=False, compare=False)
 
     def as_dict(self):
         return {
             "family": self.family.label,
             "window": {"lo": list(self.window.lo), "hi": list(self.window.hi)},
             "safe_size": len(self.safe),
-            "removed": len(self.rank),
+            "removed": self.window.volume() - len(self.safe),
         }
+
+    @cached_property
+    def rank(self):
+        """Removed point -> (round, first member in family order that
+        hits it), filled by round, then family order, then point.
+
+        No Python runs per cell: `format` writes each code plane as
+        binary digits, one lane per padded cell, the planes' lanes add
+        up to each cell's code, and `product` over the padded box
+        streams the cells against the codes.  Codes ascend with round,
+        then family order, and `product` yields cells in ascending
+        (lexicographic) order, so a stable counting sort of the removed
+        cells by code fills the table in that order.  The planes are
+        dropped once it is built."""
+        planes, values, ranges = self.codes
+        self.codes = None
+        size = prod(map(len, ranges))
+        bits, typecode, encoding = next(lane for lane in LANES
+                                        if len(planes) <= lane[0])
+        # lane i of the sum holds the code of cell i
+        lanes = sum(int.from_bytes(spread(x, size, encoding), "big") << k
+                    for k, x in enumerate(planes))
+        del planes
+        lanes = memoryview(lanes.to_bytes(size * bits // 8, "little"))
+        lanes = lanes.cast(typecode)
+
+        # a stable counting sort by code: code c owns the slots after all
+        # cells of lower codes, and each removed cell, in ascending order,
+        # takes the next slot of its code (deque(maxlen=0) runs the map)
+        codes = array(typecode, filter(None, lanes))
+        tally = Counter(codes)
+        sizes = [tally[c] for c in range(len(values))]
+        slots = list(map(count, accumulate(sizes, initial=0)))
+        ordered = [None] * len(codes)
+        deque(map(setitem, repeat(ordered),
+                  map(next, map(slots.__getitem__, codes)),
+                  compress(product(*ranges), lanes)), maxlen=0)
+        del lanes, codes
+        return dict(zip(ordered, chain.from_iterable(map(repeat, values,
+                                                         sizes))))
 
 
 @dataclass
@@ -146,9 +202,10 @@ def is_vclosed(t, f):
 
 
 def maximal_vclosed_subset(window, f):
-    """Greatest fixed point of the deletion operator on the window, with
-    its rank table: removed cell -> (round, first member in family order
-    that hits it).
+    """Greatest fixed point of the deletion operator on the window, as a
+    certificate: the safe set, the number of rounds that removed a
+    cell, and the rank table, removed cell -> (round, first member in
+    family order that hits it), which is decoded on its first read.
 
     Cells are the bits of one integer over the window padded by the
     longest member step, so z +- v is a constant bit offset and padding
@@ -158,14 +215,11 @@ def maximal_vclosed_subset(window, f):
     The cells member j (its index in family order) removes in round r
     get the code (r-1)*|f| + j + 1, and safe cells and padding get 0.
     The rounds keep the codes as bit planes: plane k holds every cell
-    whose code has bit k set.  After the fixed point no Python runs per
-    cell: `format` writes each plane as binary digits, one lane per
-    cell, the planes' lanes add up to each cell's code, and `product`
-    over the padded box streams the cells against the codes and against
-    the lanes of the safe set.  Codes ascend with round, then family
-    order, and `product` yields cells in ascending (lexicographic)
-    order, so a stable counting sort of the removed cells by code fills
-    the rank table by round, then family order, then cell.
+    whose code has bit k set.  After the fixed point `format` writes
+    the live cells as binary digits, one per cell, and `product` over
+    the padded box streams the cells against them into the safe set.
+    The certificate keeps the planes, the codes' (round, member) values
+    and the padded ranges until `rank` is first read.
     """
     n = window.dim
     if n != f.dim:
@@ -215,42 +269,13 @@ def maximal_vclosed_subset(window, f):
         if alive == start:
             break
 
-    bits, typecode, encoding = next(lane for lane in LANES
-                                    if len(planes) <= lane[0])
-    digits = "0%db" % size
-
-    def spread(x, encoding):
-        """The bits of x, highest cell first, one lane per cell."""
-        return format(x, digits).encode(encoding).translate(DIGIT_VALUES)
-
-    # lane i of the sum holds the code of cell i
-    lanes = sum(int.from_bytes(spread(x, encoding), "big") << k
-                for k, x in enumerate(planes))
-    del planes
-    lanes = memoryview(lanes.to_bytes(size * bits // 8, "little"))
-    lanes = lanes.cast(typecode)
     # padded cells in bit order; padding is neither safe nor coded
     ranges = [range(a - margin, b + margin + 1)
               for a, b in zip(window.lo, window.hi)]
-
-    # a stable counting sort by code: code c owns the slots after all
-    # cells of lower codes, and each removed cell, in ascending order,
-    # takes the next slot of its code (deque(maxlen=0) runs the map)
-    codes = array(typecode, filter(None, lanes))
-    tally = Counter(codes)
-    sizes = [tally[c] for c in range(len(values))]
-    slots = list(map(count, accumulate(sizes, initial=0)))
-    ordered = [None] * len(codes)
-    deque(map(setitem, repeat(ordered),
-              map(next, map(slots.__getitem__, codes)),
-              compress(product(*ranges), lanes)), maxlen=0)
-    del lanes, codes
-    rank = dict(zip(ordered, chain.from_iterable(map(repeat, values,
-                                                     sizes))))
-    del ordered
     safe = frozenset(compress(product(*ranges),
-                              spread(alive, "ascii")[::-1]))
-    return SafeSetCertificate(window, f, PointSet(n, safe), rank)
+                              spread(alive, size, "ascii")[::-1]))
+    return SafeSetCertificate(window, f, PointSet(n, safe), rnd - 1,
+                              (planes, values, ranges))
 
 
 def default_margin(f):

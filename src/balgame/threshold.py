@@ -103,7 +103,8 @@ def cross_validate(n, margin=2):
         raise ValueError("margin must be >= 1, got %d" % margin)
     if n > 4:
         raise ValueError("cross_validate covers n <= 4: at n=%d the window "
-                         "has %d cells, each kept in a rank table"
+                         "has %d cells, and the safe set keeps each safe "
+                         "cell as a tuple"
                          % (n, (2 ** n + 3) ** n))
     m_crit = critical_M(n).m_crit
     f = canonical_family(n)

@@ -1,6 +1,6 @@
 import random
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product
 
 import pytest
 
@@ -10,7 +10,8 @@ from balgame.core import (DegenerateNormalError, DimensionError, PointSet,
                           bits_to_vector, canonical_family, center,
                           enumerate_psum, family_width, format_family,
                           format_pointset, is_parallel, parse_family,
-                          parse_pointset, vadd, vsub, vsum, zonotope_vertex)
+                          parse_pointset, vadd, vector_to_bits, vsub, vsum,
+                          zonotope_vertex)
 
 
 def brute_psum(members):
@@ -181,6 +182,14 @@ def family_error(members, dim, strict=True):
 
 def test_family_checks_match_pairwise_reference():
     # small entries, so that duplicates, zeros and parallels all turn up
+    # the strict check's pre-pass: either every member is its own
+    # direction and the member set decides, or one is not (entry gcd
+    # above 1, first entry 0 or negative) and the directions decide
+    for members in [((1, 1), (1, -1)), ((1, 1), (1, 1)), ((1,),),
+                    ((1, 1), (2, 2)), ((1, 1), (0, 1)), ((1, 1), (-1, -1)),
+                    ((1, 1), (0, 0)), ((-1, 2), (1, 3)), ((0, 1), (0, 2))]:
+        assert (family_error(members, len(members[0]))
+                == reference_family_error(members)), members
     rng = random.Random(20261019)
     seen = set()
     for _ in range(3000):
@@ -241,8 +250,19 @@ def test_family_file_rejects_malformed(text):
 
 
 def test_bits_to_vector_rejects_other_characters():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^not a 0/1 bit string: '1x1'$"):
         bits_to_vector("1x1")
+
+
+def test_bit_strings_roundtrip():
+    for v in product((1, -1), repeat=4):
+        bits = vector_to_bits(v)
+        assert bits == "".join("1" if a == 1 else "0" for a in v)
+        assert bits_to_vector(bits) == v
+    assert (bits_to_vector(""), vector_to_bits(())) == ((), "")
+    with pytest.raises(ValueError, match=r"^not a \+-1 vector: "
+                       r"\(1, 0, -1\)$"):
+        vector_to_bits((1, 0, -1))
 
 
 def test_pointset_roundtrip():

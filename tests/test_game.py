@@ -338,6 +338,57 @@ def assert_matches_reference(window, f):
     return cert
 
 
+def test_rank_table_decoded_on_first_read():
+    f = canonical_family(3)
+    res = verdict(GameRegion(3, (0, 0, 0)), f)
+    cert = res.certificate
+    assert res.winner == "pusher"
+    window = maximal_vclosed_subset(Window((-6, -6), (1, 1)),
+                                    canonical_family(2))
+    for c in (cert, window):
+        doc = c.as_dict()
+        origin_safe = zero(c.window.dim) in c.safe
+        size = len(c.safe)
+        assert "rank" not in c.__dict__ and c.codes is not None
+        rank = c.rank
+        assert c.codes is None and c.rank is rank
+        assert origin_safe == (c is window)
+        assert doc["removed"] == len(rank) == c.window.volume() - size
+    # the table is a plain dict, and a write to it persists
+    z = next(iter(cert.rank))
+    cert.rank[z] = (0, None)
+    assert cert.rank[z] == (0, None)
+
+
+def test_certificate_rounds():
+    # the rounds that removed a cell, counted without decoding the table
+    cases = list(random_cases(11, 60))
+    cases.append((VectorFamily(2, ()), Window((0, 0), (2, 2))))
+    for f, w in cases:
+        cert = maximal_vclosed_subset(w, f)
+        rounds = cert.rounds
+        assert "rank" not in cert.__dict__
+        assert rounds == max((r for r, _ in cert.rank.values()), default=0)
+    assert rounds == 0 and len(cert.safe) == 9
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_removal_rounds_symmetric_under_coordinate_swaps(n):
+    # the canonical family and the verdict cube are invariant under
+    # permutations of the coordinates, so each cell's removal round is;
+    # its member, the first in family order, need not be
+    f = canonical_family(n)
+    m_crit = critical_M(n).m_crit
+    for m in (m_crit - 1, m_crit):
+        cert = verdict(GameRegion(n, (m,) * n), f).certificate
+        rounds = {z: r for z, (r, _v) in cert.rank.items()}
+        assert rounds
+        for i in range(n - 1):
+            swapped = {z[:i] + (z[i + 1], z[i]) + z[i + 2:]: r
+                       for z, r in rounds.items()}
+            assert swapped == rounds
+
+
 def test_kernel_matches_reference_fixed_point():
     for f, w in random_cases(2024, 200):
         assert_matches_reference(w, f)
